@@ -9,14 +9,14 @@
 //! actually uses:
 //!
 //! * `clean_span` over a clean stretch (the fast-path batch sizing),
-//!   over an immediately-trapped granule (the burst-entry probe) and
+//!   over an immediately-trapped granule (the walk's trapped-chunk probe) and
 //!   over a sparsely trapped frame (the mid-frame scan);
 //! * `frame_clean` (the O(1) clean-frame filter);
 //! * `set_range`/`clear_range` at line size (per-miss re-arm/service)
 //!   and page size (page registration);
 //! * `recount` (the chunked full-bitmap population sweep);
 //! * `handle_miss` end to end on a direct-mapped 4 KiB Tapeworm — the
-//!   representative per-miss cost the batched burst amortizes.
+//!   representative per-miss cost of the engine's inline miss service.
 //!
 //! Build with the `microbench` feature:
 //! `cargo run --release --features microbench --bin microbench_trapset`.
@@ -153,7 +153,7 @@ fn main() {
 
     // Representative end-to-end per-miss cost: direct-mapped 4 KiB
     // cache, every reference a (cold or conflict) miss on a registered
-    // page — the shape the batched burst amortizes.
+    // page — the trapped-chunk case of the engine's trap-service walk.
     let cache = CacheConfig::new(4096, LINE, 1).expect("valid geometry");
     let mut tw = Tapeworm::new(cache, PAGE, SeedSeq::new(7)).with_cost(CostModel::optimized());
     let mut traps = TrapMap::new(MEM_BYTES, LINE);
@@ -162,7 +162,6 @@ fn main() {
     for page in 0..(footprint / PAGE) {
         tw.tw_register_page(&mut traps, Tid::KERNEL, Pfn::new(page), page);
     }
-    tw.set_victim_memo(true);
     push(
         "handle_miss_dm4k",
         misses,

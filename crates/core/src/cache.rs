@@ -56,18 +56,6 @@ pub struct SimCache {
     cursors: Vec<u32>,
     rng: Rng,
     resident: u64,
-    /// Victim memo: epoch stamp per set, valid while it equals `epoch`.
-    /// A valid stamp means "every way of this set was occupied at its
-    /// last insert, and nothing has been removed since", so a FIFO
-    /// insert may skip the empty-way probe and displace straight at
-    /// the cursor. Any removal (page flush, inclusion invalidate,
-    /// clear) bumps `epoch`, invalidating every stamp at once.
-    full_epochs: Vec<u64>,
-    epoch: u64,
-    /// Whether the memo fast path may be consulted (the batched
-    /// miss-handling kill switch leaves stamps maintained but unused).
-    memo_enabled: bool,
-    memo_hits: u64,
 }
 
 impl SimCache {
@@ -80,23 +68,7 @@ impl SimCache {
             cursors: vec![0; cfg.sets() as usize],
             rng: seed.derive("simcache", cfg.size_bytes()).rng(),
             resident: 0,
-            full_epochs: vec![0; cfg.sets() as usize],
-            epoch: 1,
-            memo_enabled: false,
-            memo_hits: 0,
         }
-    }
-
-    /// Enables or disables the full-set victim memo. Purely a fast
-    /// path: results are bit-identical either way (pinned by the
-    /// miss-batch differential suite); only the memo-hit tally moves.
-    pub fn set_victim_memo(&mut self, enabled: bool) {
-        self.memo_enabled = enabled;
-    }
-
-    /// Victim selections answered from the full-set memo.
-    pub fn victim_memo_hits(&self) -> u64 {
-        self.memo_hits
     }
 
     /// The cache geometry.
@@ -129,39 +101,42 @@ impl SimCache {
             pa: pa.line_base(line_bytes),
         };
         let set = self.cfg.set_of(entry.va, entry.pa);
+        if self.cfg.associativity() == 1 && self.cfg.replacement() == Replacement::Fifo {
+            // Direct-mapped FIFO (the common simulated cache): the lone
+            // way is refreshed, filled or displaced; its cursor would
+            // never move ((0 + 1) % 1 == 0).
+            let slot = &mut self.slots[set as usize].line;
+            return match *slot {
+                Some(line) if line == entry => None,
+                None => {
+                    *slot = Some(entry);
+                    self.resident += 1;
+                    None
+                }
+                Some(_) => slot.replace(entry),
+            };
+        }
         let range = self.set_range(set);
 
         // Duplicate insertion (can occur when a shared line re-misses
         // under virtual or physical aliasing): treat as refresh, no
-        // displacement. Never skipped — the memo below only proves the
-        // set full, not that the entry is absent.
+        // displacement.
         for i in range.clone() {
             if self.slots[i].line == Some(entry) {
                 return None;
             }
         }
-        let set_idx = set as usize;
-        if self.memo_enabled && self.full_epochs[set_idx] == self.epoch {
-            // The set was full at its last insert and nothing has been
-            // removed since: go straight to victim selection.
-            self.memo_hits += 1;
-        } else {
-            for i in range.clone() {
-                if self.slots[i].line.is_none() {
-                    self.slots[i].line = Some(entry);
-                    self.resident += 1;
-                    return None;
-                }
+        for i in range.clone() {
+            if self.slots[i].line.is_none() {
+                self.slots[i].line = Some(entry);
+                self.resident += 1;
+                return None;
             }
         }
-        self.full_epochs[set_idx] = self.epoch;
         let ways = self.cfg.associativity() as usize;
         let victim_way = match self.cfg.replacement() {
-            // Direct-mapped: the lone way is always the victim and the
-            // cursor never moves ((0 + 1) % 1 == 0).
-            Replacement::Fifo if ways == 1 => 0,
             Replacement::Fifo => {
-                let c = &mut self.cursors[set_idx];
+                let c = &mut self.cursors[set as usize];
                 let way = *c as usize;
                 *c = (*c + 1) % self.cfg.associativity();
                 way
@@ -176,7 +151,6 @@ impl SimCache {
     /// `[page_pa, page_pa + page_bytes)` — the flush performed by
     /// `tw_remove_page`.
     pub fn flush_physical_page(&mut self, page_pa: PhysAddr, page_bytes: u64) -> Vec<CacheLine> {
-        self.epoch += 1; // sets may empty: every full-set stamp is stale
         let mut flushed = Vec::new();
         for slot in &mut self.slots {
             if let Some(line) = slot.line {
@@ -205,7 +179,6 @@ impl SimCache {
     /// (first alias only). Used by multi-level simulation to enforce
     /// inclusion: an L2 eviction must invalidate the L1 copy.
     pub fn remove_physical_line(&mut self, pa: PhysAddr) -> Option<CacheLine> {
-        self.epoch += 1;
         let pa = pa.line_base(self.cfg.line_bytes());
         for slot in &mut self.slots {
             if matches!(slot.line, Some(l) if l.pa == pa) {
@@ -240,7 +213,6 @@ impl SimCache {
         }
         self.cursors.fill(0);
         self.resident = 0;
-        self.epoch += 1;
     }
 
     /// The indexing mode (convenience passthrough).
@@ -401,35 +373,6 @@ mod tests {
         c.insert(t, VirtAddr::new(256), PhysAddr::new(256));
         let d = c.insert(t, VirtAddr::new(512), PhysAddr::new(512)).unwrap();
         assert!(d.pa == PhysAddr::new(0) || d.pa == PhysAddr::new(256));
-    }
-
-    #[test]
-    fn victim_memo_is_invisible_in_results_and_invalidated_by_removal() {
-        // Twin caches, memo on vs off: every insert must agree exactly.
-        let mut fast = cache(256, 16, 2);
-        let mut slow = cache(256, 16, 2);
-        fast.set_victim_memo(true);
-        let t = Tid::new(1);
-        let mut hits_after_warm = 0;
-        for round in 0..6u64 {
-            for set in 0..8u64 {
-                let addr = set * 16 + round * 256;
-                let a = fast.insert(t, VirtAddr::new(addr), PhysAddr::new(addr));
-                let b = slow.insert(t, VirtAddr::new(addr), PhysAddr::new(addr));
-                assert_eq!(a, b, "memo diverged at round {round} set {set}");
-            }
-            if round == 3 {
-                hits_after_warm = fast.victim_memo_hits();
-                // Removal invalidates every stamp; correctness must
-                // survive the set no longer being full.
-                assert_eq!(
-                    fast.flush_physical_page(PhysAddr::new(0), 32).len(),
-                    slow.flush_physical_page(PhysAddr::new(0), 32).len()
-                );
-            }
-        }
-        assert!(hits_after_warm > 0, "memo never engaged");
-        assert_eq!(slow.victim_memo_hits(), 0, "disabled memo must not count");
     }
 
     #[test]

@@ -1,8 +1,17 @@
 //! Miss-schedule replay: record a burst's compact outcome once,
 //! replay it on recurrence.
 //!
+//! **The trial engine no longer calls this layer.** Misses are serviced
+//! inline by the plain handler inside the engine's trap-service walk;
+//! this module, [`crate::Tapeworm::service_burst`] and
+//! [`crate::Tapeworm::sched_eligible`] stay as a standalone primitive
+//! that the benchmark's `core.service_burst` probe and the
+//! `sched-fuzz` signature suite still drive. Trials therefore report
+//! the `sched_replays`, `sched_records` and `sched_sig_misses` counters
+//! as 0.
+//!
 //! The deterministic SplitMix64 workloads repeat the same instruction
-//! runs thousands of times per trial, so the batched burst path keeps
+//! runs thousands of times per trial, so a burst service keeps
 //! re-deriving identical miss sequences: same entry address, same
 //! remaining words, same trap-bit run, same set contents, same
 //! victims. This module caches each serviced burst's outcome keyed by
@@ -34,10 +43,9 @@
 //! `sched_sig_misses` counter). The hash map underneath is only an
 //! index; a hash collision degrades to the same structural comparison.
 //!
-//! The schedule cache is per-trial scratch: it never enters trial
-//! results, digests, or checkpoints, and the `TW_SCHED=0` /
-//! `with_miss_schedule(false)` kill switches restore the stepwise
-//! engine bit-identically (pinned by `tests/miss_schedule.rs`).
+//! The schedule cache is caller-owned scratch: it never enters trial
+//! results, digests, or checkpoints. Replay is pinned to fresh
+//! recording by `crates/core/tests/sched_fuzz.rs`.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -167,8 +175,10 @@ pub(crate) const NO_ENTRY: u32 = u32::MAX;
 /// instead of thrashing a single record.
 pub(crate) const KEY_WAYS: usize = 16;
 
-/// Per-trial schedule cache: the key index, the entry table, and the
-/// flat arenas entries point into. Overwritten entries leak their
+/// Schedule cache: the key index, the entry table, and the flat
+/// arenas entries point into. Not used by the trial engine (see the
+/// module docs); kept for direct [`crate::Tapeworm::service_burst`]
+/// callers. Overwritten entries leak their
 /// arena ranges until the capacity bound resets the whole store —
 /// deterministic, and bounded at a few MiB.
 #[derive(Debug, Default)]
@@ -267,8 +277,9 @@ impl MissSchedule {
     }
 }
 
-/// Entry conditions of one batched trap burst, as the engine's burst
-/// path sees them.
+/// Entry conditions of one trap burst for
+/// [`crate::Tapeworm::service_burst`]. The trial engine no longer
+/// builds these (see the module docs).
 #[derive(Debug, Clone, Copy)]
 pub struct BurstRequest {
     /// Workload component charged for the misses.
@@ -297,8 +308,8 @@ pub struct BurstRequest {
     pub want_victims: bool,
 }
 
-/// What the scheduled burst path serviced, for the engine to account
-/// machine-side (retire, counters, clock, ring).
+/// What [`crate::Tapeworm::service_burst`] serviced, for the caller to
+/// account machine-side (retire, counters, clock, ring).
 #[derive(Debug, Clone, Copy)]
 pub struct BurstServed {
     /// Chunks probed — all of them misses (or masked skips).

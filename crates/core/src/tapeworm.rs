@@ -307,23 +307,10 @@ impl Tapeworm {
     }
 
     /// The constant cycle charge of one [`Tapeworm::handle_miss`]
-    /// (handler + replacement shares of the memoized cost model). The
-    /// burst loop pre-budgets tick headroom with this.
+    /// (handler + replacement shares of the memoized cost model).
     #[inline]
     pub fn miss_overhead_cycles(&self) -> u64 {
         self.miss_cost.0 + self.miss_cost.1
-    }
-
-    /// Enables or disables the simulated cache's full-set victim memo
-    /// (part of the batched miss path; bit-identical either way).
-    pub fn set_victim_memo(&mut self, enabled: bool) {
-        self.cache.set_victim_memo(enabled);
-    }
-
-    /// Victim selections the simulated cache answered from its
-    /// full-set memo.
-    pub fn victim_memo_hits(&self) -> u64 {
-        self.cache.victim_memo_hits()
     }
 
     /// The optimized miss handler (Figure 1, right side): count the
@@ -373,6 +360,10 @@ impl Tapeworm {
     /// replacement is excluded (a replay could not reproduce the RNG
     /// draws it skips), as is virtual indexing (a victim there could
     /// re-arm a granule ahead in the burst's own span).
+    ///
+    /// The trial engine no longer calls the scheduled burst path; this
+    /// stays for direct callers (the benchmark's burst probe and the
+    /// `sched-fuzz` suite).
     #[inline]
     pub fn sched_eligible(&self) -> bool {
         self.cfg.indexing() == Indexing::Physical
@@ -393,9 +384,15 @@ impl Tapeworm {
     /// entry granule, budget-starved before the first chunk, or a key
     /// field overflow — and the caller falls back to the stepwise
     /// loop. Every produced outcome (counters, cycles, trap
-    /// transitions, set state, victims) is bit-identical to the
-    /// stepwise burst loop; `tests/miss_schedule.rs` pins this
-    /// differentially across all simulator modes.
+    /// transitions, set state, victims) is what the same chunks
+    /// serviced one by one through [`Tapeworm::handle_miss`] would
+    /// produce; `crates/core/tests/sched_fuzz.rs` pins the replay
+    /// signature's soundness.
+    ///
+    /// The trial engine no longer calls this: its trap-service walk
+    /// runs the plain handler inline, so trials report the `Sched*`
+    /// counters as 0. It is kept as a standalone primitive for the
+    /// benchmark's `core.service_burst` probe.
     pub fn service_burst(
         &mut self,
         traps: &mut TrapMap,

@@ -264,16 +264,6 @@ impl Machine {
         self.traps.clean_span(pa, max_bytes)
     }
 
-    /// Length of the run of consecutive trapped granules starting at
-    /// `pa`'s granule, capped at `max_granules` —
-    /// [`TrapMap::trapped_run`]'s word-at-a-time bitmap scan. Every
-    /// probe inside the run would trap, so the scheduled burst path
-    /// can size a whole miss burst from a handful of word loads.
-    #[inline]
-    pub fn trapped_run(&self, pa: PhysAddr, max_granules: u64) -> u64 {
-        self.traps.trapped_run(pa, max_granules)
-    }
-
     /// `true` when any armed breakpoint lies in `[va, va + len)` — one
     /// binary search instead of a per-address probe.
     #[inline]
@@ -303,29 +293,6 @@ impl Machine {
     pub fn retire_clean_run(&mut self, instructions: u64, chunk_accesses: u64) {
         self.instret += instructions;
         self.breakpoint_checks += chunk_accesses;
-    }
-
-    /// Retires a *scheduled miss burst* in one call: `instructions`
-    /// retired plus `chunks` fetch probes, each of which would have
-    /// taken the breakpoint check and then trapped (`trap_entries`
-    /// when interrupts are enabled, `masked_ecc_skips` otherwise —
-    /// the interrupt state is constant across a burst because the
-    /// tick-budget pre-check keeps ticks from firing mid-burst).
-    /// Valid only when the caller has proven every probed chunk's
-    /// granule trapped ([`Machine::trapped_run`] covers the burst)
-    /// and no breakpoint overlaps it ([`Machine::breakpoints_in`]):
-    /// then this is exactly `chunks` stepwise [`Machine::access`]
-    /// outcomes plus one [`Machine::retire`]. A unit test pins the
-    /// equivalence.
-    #[inline]
-    pub fn retire_trapped_burst(&mut self, instructions: u64, chunks: u64) {
-        self.instret += instructions;
-        self.breakpoint_checks += chunks;
-        if self.interrupts_enabled {
-            self.trap_entries += chunks;
-        } else {
-            self.masked_ecc_skips += chunks;
-        }
     }
 
     /// Total retired instructions.
@@ -516,39 +483,6 @@ mod tests {
         fast.retire_clean_run(20, 5);
         assert_eq!(fast.instructions(), slow.instructions());
         assert_eq!(fast.breakpoint_checks(), slow.breakpoint_checks());
-    }
-
-    #[test]
-    fn retire_trapped_burst_matches_slow_path_counters() {
-        // A burst of trapped fetches retired in one batch must leave
-        // every machine counter exactly where per-chunk dispatch would,
-        // in both interrupt states.
-        for enabled in [true, false] {
-            let mut slow = machine();
-            slow.traps_mut().set_range(PA, 5 * 16);
-            slow.set_interrupts_enabled(enabled);
-            for chunk in 0..5u64 {
-                let va = VirtAddr::new(0x1000 + chunk * 16);
-                let pa = PhysAddr::new(0x2000 + chunk * 16);
-                let want = if enabled {
-                    FetchOutcome::EccTrap
-                } else {
-                    FetchOutcome::MaskedEccSkipped
-                };
-                assert_eq!(slow.access(AccessKind::IFetch, va, pa), want);
-                slow.retire(4);
-            }
-            let mut fast = machine();
-            fast.traps_mut().set_range(PA, 5 * 16);
-            fast.set_interrupts_enabled(enabled);
-            assert_eq!(fast.trapped_run(PA, 5), 5);
-            assert!(!fast.breakpoints_in(VA, 5 * 16));
-            fast.retire_trapped_burst(20, 5);
-            assert_eq!(fast.instructions(), slow.instructions());
-            assert_eq!(fast.breakpoint_checks(), slow.breakpoint_checks());
-            assert_eq!(fast.trap_entries(), slow.trap_entries());
-            assert_eq!(fast.masked_ecc_skips(), slow.masked_ecc_skips());
-        }
     }
 
     #[test]

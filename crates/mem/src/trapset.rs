@@ -516,7 +516,7 @@ impl TrapMap {
             self.bits.store(w, old | mask);
             self.count += 1;
             self.set_events += 1;
-            let f = (g / (Self::FRAME_BYTES >> self.shift)) as usize;
+            let f = ((g << self.shift) / Self::FRAME_BYTES) as usize;
             self.frame_counts.store(f, self.frame_counts.load(f) + 1);
         }
     }
@@ -532,7 +532,7 @@ impl TrapMap {
             self.bits.store(w, old & !mask);
             self.count -= 1;
             self.clear_events += 1;
-            let f = (g / (Self::FRAME_BYTES >> self.shift)) as usize;
+            let f = ((g << self.shift) / Self::FRAME_BYTES) as usize;
             self.frame_counts.store(f, self.frame_counts.load(f) - 1);
         }
     }

@@ -44,16 +44,19 @@ pub enum CounterId {
     /// deliverable bound arrived in one interval (the previously-silent
     /// `fired.min(4)` truncation in `System::advance`).
     ClockTicksDropped,
-    /// Clean runs retired through the resident-run fast path.
+    /// Clean runs retired in one batch by the engine's trap-service
+    /// walk (a trailing partial chunk counts as its own run).
     FastRuns,
-    /// Words (instructions) retired through the fast path.
+    /// Words (instructions) retired in those clean batches.
     FastWords,
-    /// Miss bursts flushed by the batched trap-service path (each
-    /// flush coalesced one or more consecutive trap services into a
-    /// single accounting pass).
+    /// Flushes of the engine's trap-service walk: each one retires a
+    /// page segment's pending words, cycles and handler overhead in a
+    /// single accounting pass (at the segment's end, or at the chunk
+    /// that reaches the next clock tick).
     MissBatchFlushes,
-    /// Victim selections answered from the per-set full-set memo
-    /// inside a miss burst, skipping the duplicate/empty way scans.
+    /// Retired: victim selections answered from the simulated cache's
+    /// full-set memo, which no longer exists. Always 0; the slot stays
+    /// so the registry's indices and JSON keys do not move.
     VictimMemoHits,
     /// Chunks of sparse physical-state backing privately materialized
     /// at trial end (trap bitmap + frame counts + VM frame refcounts).
@@ -77,14 +80,16 @@ pub enum CounterId {
     /// Simulated cells whose trial loop stopped early because the
     /// running confidence interval closed below the configured bound.
     CiEarlyStops,
-    /// Trap bursts answered by replaying a recorded miss schedule
-    /// (signature verified against live trap-run shape and set state).
+    /// Trap bursts answered by replaying a recorded miss schedule.
+    /// Always 0 in trials: the engine no longer calls the scheduled
+    /// burst path (`Tapeworm::service_burst`).
     SchedReplays,
-    /// Trap bursts serviced through the set-state table and recorded
-    /// into the per-trial miss-schedule cache.
+    /// Trap bursts recorded into a miss-schedule cache. Always 0 in
+    /// trials, like [`CounterId::SchedReplays`].
     SchedRecords,
     /// Keyed schedule lookups whose recorded signature failed
-    /// verification, forcing a re-record instead of a replay.
+    /// verification. Always 0 in trials, like
+    /// [`CounterId::SchedReplays`].
     SchedSigMisses,
 }
 

@@ -155,27 +155,13 @@ pub struct SystemConfig {
     /// DECstation 5000/200 behaviour (stores destroy traps silently);
     /// `AllocateOnWrite` is required for faithful data-cache counts.
     pub write_policy: tapeworm_mem::WritePolicy,
-    /// Whether the engine may retire trap-free instruction runs through
-    /// the batched resident-run fast path. The fast path is
-    /// bit-identical to stepwise execution (pinned by differential
-    /// tests); disabling it forces the per-chunk slow path, as does the
-    /// `TW_FAST=0` environment knob.
+    /// Whether the engine may run each page segment through the
+    /// trap-service walk: trap-free stretches retired in batches,
+    /// misses serviced inline, one clock advance per segment or tick.
+    /// The walk is bit-identical to stepwise execution (pinned by
+    /// differential tests); disabling it forces the per-chunk stepwise
+    /// loop, as does the `TW_FAST=0` environment knob.
     pub fast_path: bool,
-    /// Whether the engine may service consecutive trapped chunks in a
-    /// batched miss burst (one clock advance per burst instead of one
-    /// per miss) with victim-selection memoization in the simulated
-    /// cache. Bit-identical to stepwise miss handling (pinned by
-    /// differential tests); disabling it forces per-miss accounting,
-    /// as does the `TW_BATCH=0` environment knob.
-    pub miss_batch: bool,
-    /// Whether the batched burst path may service bursts through
-    /// set-state tables with miss-schedule record/replay (eligible
-    /// geometries only: physically indexed FIFO caches spanning at
-    /// least a page). Bit-identical to the stepwise burst loop
-    /// (pinned by differential tests); disabling it forces the
-    /// stepwise loop, as does the `TW_SCHED=0` environment knob.
-    /// Inert unless `miss_batch` is also on.
-    pub miss_schedule: bool,
     /// Whether the machine's physical state (trap bitmap, per-frame
     /// trap counts, VM frame refcounts) sits on demand-allocated
     /// chunked backing with zero-chunk dedup. Bit-identical to the
@@ -205,8 +191,6 @@ impl SystemConfig {
             dilate: true,
             write_policy: tapeworm_mem::WritePolicy::NoAllocateOnWrite,
             fast_path: true,
-            miss_batch: true,
-            miss_schedule: true,
             sparse_mem: true,
         }
     }
@@ -270,21 +254,10 @@ impl SystemConfig {
         self
     }
 
-    /// Enables or disables the resident-run fast path.
+    /// Enables or disables the trap-service walk (the stepwise loop
+    /// runs instead).
     pub fn with_fast_path(mut self, enabled: bool) -> Self {
         self.fast_path = enabled;
-        self
-    }
-
-    /// Enables or disables batched miss handling.
-    pub fn with_miss_batch(mut self, enabled: bool) -> Self {
-        self.miss_batch = enabled;
-        self
-    }
-
-    /// Enables or disables set-state/miss-schedule burst service.
-    pub fn with_miss_schedule(mut self, enabled: bool) -> Self {
-        self.miss_schedule = enabled;
         self
     }
 

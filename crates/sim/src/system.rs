@@ -13,7 +13,7 @@ use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
-use tapeworm_core::{BurstRequest, MissSchedule, SetSample, Tapeworm, TlbSim, TwoLevelTapeworm};
+use tapeworm_core::{SetSample, Tapeworm, TlbSim, TwoLevelTapeworm};
 use tapeworm_machine::{AccessKind, Component, FetchOutcome, Machine, MachineConfig, Monster};
 use tapeworm_mem::{
     ColoringAllocator, FrameAllocator, PhysAddr, RandomAllocator, SequentialAllocator, VirtAddr,
@@ -115,10 +115,6 @@ pub struct TrialScratch {
     machine: Option<tapeworm_machine::MachineScratch>,
     vm: Option<tapeworm_os::VmScratch>,
     data: Vec<DataRef>,
-    /// Miss-schedule cache allocations (map, entry table, arenas);
-    /// contents are cleared on reuse — the schedule itself is strictly
-    /// per-trial state.
-    sched: Option<MissSchedule>,
 }
 
 impl TrialScratch {
@@ -363,24 +359,15 @@ struct Engine<'c> {
     cpi_acc_milli: u64,
     in_interrupt: bool,
     chunk_bytes: u64,
-    /// Resident-run fast path enabled (`SystemConfig::fast_path` and
-    /// the `TW_FAST` env knob both allow it).
+    /// Trap-service walk enabled (`SystemConfig::fast_path` and the
+    /// `TW_FAST` env knob both allow it).
     fast_enabled: bool,
-    /// Batched miss handling enabled (`SystemConfig::miss_batch` and
-    /// the `TW_BATCH` env knob both allow it).
-    batch_enabled: bool,
-    /// Set-state/miss-schedule burst service enabled
-    /// (`SystemConfig::miss_schedule` and the `TW_SCHED` env knob both
-    /// allow it; rides on top of `batch_enabled`).
-    sched_enabled: bool,
-    /// Per-trial miss-schedule cache (record/replay store + counters).
-    sched: MissSchedule,
-    /// Clean runs retired through the fast path.
+    /// Clean runs retired through the walk's fast batches.
     fast_runs: u64,
-    /// Words retired through the fast path.
+    /// Words retired through the walk's fast batches.
     fast_words: u64,
-    /// Miss bursts flushed through the batched trap-service path.
-    miss_batch_flushes: u64,
+    /// Flushes of the trap-service walk (one retire/advance each).
+    walk_flushes: u64,
     /// Clock ticks that fired but exceeded the per-interval delivery
     /// bound in [`Engine::advance`] (previously dropped silently).
     ticks_dropped: u64,
@@ -601,17 +588,9 @@ impl<'c> Engine<'c> {
             in_interrupt: false,
             chunk_bytes,
             fast_enabled: cfg.fast_path && std::env::var("TW_FAST").map_or(true, |v| v != "0"),
-            batch_enabled: cfg.miss_batch && std::env::var("TW_BATCH").map_or(true, |v| v != "0"),
-            sched_enabled: cfg.miss_schedule
-                && std::env::var("TW_SCHED").map_or(true, |v| v != "0"),
-            sched: {
-                let mut sched = std::mem::take(&mut scratch.sched).unwrap_or_default();
-                sched.clear();
-                sched
-            },
             fast_runs: 0,
             fast_words: 0,
-            miss_batch_flushes: 0,
+            walk_flushes: 0,
             ticks_dropped: 0,
             page_bytes: page.bytes(),
             data_scratch: {
@@ -623,20 +602,6 @@ impl<'c> Engine<'c> {
             ring: TrapRing::new(0),
             sched_quanta: 0,
         };
-        // Victim-selection memoization rides the batch knob: the memo
-        // is bit-invisible (it only skips re-deriving a decision the
-        // stepwise scan would reach identically), so one knob pins
-        // both batching layers for the differential suite.
-        if engine.batch_enabled {
-            match &mut engine.sim {
-                Sim::Cache(tw) => tw.set_victim_memo(true),
-                Sim::Split { icache, dcache } => {
-                    icache.set_victim_memo(true);
-                    dcache.set_victim_memo(true);
-                }
-                _ => {}
-            }
-        }
         let initial = spec.concurrent_tasks.min(spec.user_task_count.max(1));
         for _ in 0..initial {
             engine.fork_user();
@@ -650,7 +615,6 @@ impl<'c> Engine<'c> {
         scratch.machine = Some(self.machine.into_scratch());
         scratch.vm = Some(self.os.into_scratch());
         scratch.data = self.data_scratch;
-        scratch.sched = Some(self.sched);
     }
 
     fn fork_user(&mut self) {
@@ -746,7 +710,7 @@ impl<'c> Engine<'c> {
                             dcache.handle_miss(self.machine.traps_mut(), component, tid, r.va, pa);
                     }
                     if self.ring.enabled() {
-                        self.record_trap(TrapKind::Data, tid, r.va);
+                        self.record_trap(TrapKind::Data, tid, r.va, self.machine.now());
                     }
                 }
                 FetchOutcome::MaskedEccSkipped => {
@@ -785,7 +749,7 @@ impl<'c> Engine<'c> {
                         _ => unreachable!("valid bits are only cleared in TLB mode"),
                     };
                     if self.ring.enabled() {
-                        self.record_trap(TrapKind::Tlb, tid, va);
+                        self.record_trap(TrapKind::Tlb, tid, va, self.machine.now());
                     }
                     self.advance(0, cycles)?;
                 }
@@ -814,11 +778,11 @@ impl<'c> Engine<'c> {
         }
     }
 
-    /// Records one trap event in the ring, pulling the victim from
-    /// whichever simulator just handled the miss. Called only on the
-    /// (cold) trap path, and only when the ring is enabled.
+    /// Records one trap event stamped `cycle` in the ring, pulling the
+    /// victim from whichever simulator just handled the miss. Called
+    /// only on the (cold) trap path, and only when the ring is enabled.
     #[cold]
-    fn record_trap(&mut self, kind: TrapKind, tid: Tid, va: VirtAddr) {
+    fn record_trap(&mut self, kind: TrapKind, tid: Tid, va: VirtAddr, cycle: u64) {
         let victim = match (&self.sim, kind) {
             (Sim::Cache(tw), _) => tw.last_victim().map(|pa| pa.raw()),
             (Sim::Split { dcache, .. }, TrapKind::Data) => dcache.last_victim().map(|pa| pa.raw()),
@@ -829,7 +793,7 @@ impl<'c> Engine<'c> {
             (Sim::TwoLevel(_) | Sim::Buffer(_), _) => None,
         };
         self.ring.record(TrapEvent {
-            cycle: self.machine.now(),
+            cycle,
             tid: tid.raw(),
             vpn: va.page_number(self.page_bytes),
             kind,
@@ -856,10 +820,12 @@ impl<'c> Engine<'c> {
         // bits do flip mid-run — a chunk is a whole page, so the memo
         // is never reused there. Bit-exact by construction.
         let mut memo: Option<(u64, u64)> = None;
+        // TLB mode never reaches machine.access here (and a chunk is a
+        // whole page); the trace buffer pays per reference by design.
+        // Both, and `fast_path = false`, keep the stepwise loop below,
+        // which is the reference the walk is pinned against.
+        let walk = self.fast_enabled && !matches!(self.sim, Sim::Tlb(_) | Sim::Buffer(_));
         while remaining > 0 {
-            let chunk_end = va.line_base(self.chunk_bytes) + self.chunk_bytes;
-            let words_to_end = (chunk_end - va) / tapeworm_mem::WORD_BYTES;
-            let w = remaining.min(words_to_end);
             let vpn = va.page_number(self.page_bytes);
             let pa = match memo {
                 Some((m_vpn, delta)) if m_vpn == vpn => PhysAddr::new(va.raw().wrapping_add(delta)),
@@ -869,349 +835,32 @@ impl<'c> Engine<'c> {
                     pa
                 }
             };
-
-            // Resident-run fast path: every chunk whose probe point
-            // lies in a trap-free stretch of the frame is
-            // FetchOutcome::Run, so the per-chunk dispatch below is pure
-            // bookkeeping — retire the whole clean run in one batch.
-            // The common case (frame carries zero traps at all — true
-            // for every page of an unsimulated component) is one O(1)
-            // per-frame-count load; otherwise a word-at-a-time bitmap
-            // scan sizes the clean prefix, batching resident hit runs
-            // between traps. Bit-exactness by construction:
-            // * the batch never crosses the page, so one translation
-            //   covers it and physical contiguity is guaranteed;
-            // * the batch's total workload cycles stay strictly below
-            //   `cycles_until_tick()`, so the single advance() fires no
-            //   interrupt — handler delivery positions are untouched
-            //   (the chunk that would cross the tick runs below);
-            // * the batch ends on a slow-path iteration boundary, and
-            //   retire_clean_run replicates the per-chunk breakpoint
-            //   probes, so every observability counter matches;
-            // * trap state only mutates inside miss/VM handlers, which
-            //   cannot run mid-batch, so the span measured at the batch
-            //   head stays valid for the whole batch.
-            // TLB mode never reaches machine.access here (and a chunk is
-            // a whole page); the trace buffer pays per reference by
-            // design. Both are excluded.
-            if self.fast_enabled && !matches!(self.sim, Sim::Tlb(_) | Sim::Buffer(_)) {
-                let chunk_words = self.chunk_bytes / tapeworm_mem::WORD_BYTES;
-                let page_words =
-                    ((vpn + 1) * self.page_bytes - va.raw()) / tapeworm_mem::WORD_BYTES;
-                let cpi = self.cfg.base_cpi_milli;
-                // Span first, tick budget second: the trap-free span
-                // decides between the clean batch and the miss burst,
-                // and a chunk headed for a miss skips the tick-budget
-                // division entirely. A clean frame (the
-                // unsimulated-component case) answers in one per-frame
-                // count load; a partially trapped frame costs a short
-                // chunked bitmap scan that ends at the first trapped
-                // granule.
-                let max_words = remaining.min(page_words);
-                let span_words = if self.machine.frame_clean(pa) {
-                    max_words
-                } else {
-                    self.machine
-                        .clean_span(pa, max_words * tapeworm_mem::WORD_BYTES)
-                        / tapeworm_mem::WORD_BYTES
-                };
-                if span_words >= w {
-                    // Largest word count whose cycles stay short of the
-                    // tick: acc + n·cpi < until·1000. The accumulator is
-                    // < 1000 and until ≥ 1, so the budget is ≥ 1.
-                    let budget_milli = self
-                        .machine
-                        .cycles_until_tick()
-                        .saturating_mul(1000)
-                        .saturating_sub(self.cpi_acc_milli);
-                    let w_tick = if cpi == 0 {
-                        u64::MAX
-                    } else {
-                        (budget_milli - 1) / cpi
-                    };
-                    // min(remaining, page, span) then min(tick) equals
-                    // the stepwise min(remaining, page, tick) clipped to
-                    // the span: clean_span already clips to max_words.
-                    let cap = span_words.min(w_tick);
-                    if cap >= w {
-                        // Align the batch end to a slow-path iteration
-                        // boundary: the first (possibly partial) chunk
-                        // plus whole chunks only.
-                        let chunks = 1 + (cap - w) / chunk_words;
-                        let batch = w + (chunks - 1) * chunk_words;
-                        if !self
-                            .machine
-                            .breakpoints_in(va, batch * tapeworm_mem::WORD_BYTES)
-                        {
-                            self.machine.retire_clean_run(batch, chunks);
-                            self.cpi_acc_milli += batch * cpi;
-                            let workload_cycles = self.cpi_acc_milli / 1000;
-                            self.cpi_acc_milli %= 1000;
-                            self.monster.record(component, batch, workload_cycles);
-                            self.advance(workload_cycles, 0)?;
-                            self.fast_runs += 1;
-                            self.fast_words += batch;
-                            va += batch * tapeworm_mem::WORD_BYTES;
-                            remaining -= batch;
-                            continue;
-                        }
-                    }
-                } else if self.batch_enabled {
-                    // Batched miss burst: the probe point sits short of
-                    // a trapped granule, so this chunk (and typically a
-                    // run of successors — cold pages trap every line)
-                    // takes the miss path. Service consecutive
-                    // trapped/masked chunks in one pass, deferring
-                    // retire/phase/clock bookkeeping to a single flush.
-                    // Bit-exactness by construction:
-                    // * each chunk still probes through machine.access
-                    //   and services its miss through the same handler,
-                    //   so every trap/breakpoint/miss counter and every
-                    //   trap-bit transition is the stepwise sequence;
-                    // * the burst exits before any chunk whose clean
-                    //   span reaches the chunk end, so the fast path
-                    //   above commits exactly the batches (and counts
-                    //   exactly the fast_runs/fast_words) it would have
-                    //   stepwise;
-                    // * every chunk's worst-case dilated cost is
-                    //   strictly pre-checked against the remaining tick
-                    //   budget, so the single deferred advance() fires
-                    //   no interrupt — handler delivery positions are
-                    //   untouched;
-                    // * the burst never crosses the page, so the memo
-                    //   translation covers it;
-                    // * ring events carry the virtual timestamp the
-                    //   stepwise clock would show at that trap — the
-                    //   base clock plus exactly the workload/dilated
-                    //   overhead cycles the deferred advance() will
-                    //   apply for the chunks already burst.
-                    // Only constant-cost handlers qualify (the budget
-                    // pre-check must bound the charge): the single
-                    // cache and the split icache — the two-level
-                    // hierarchy's L2-dependent cost stays stepwise.
-                    let mut burst_words = 0u64;
-                    let mut burst_cycles = 0u64;
-                    let mut burst_overhead = 0u64;
-                    // The kernel's statement of how far one trap-service
-                    // pass may run: the live mapping's remaining page
-                    // span (a counting-free page-table read). Also
-                    // cross-checks the page memo against the real page
-                    // table.
-                    let page_end = match self.os.trap_service_span(tid, va) {
-                        Some((span_pa, span_bytes)) => {
-                            debug_assert_eq!(
-                                span_pa.raw(),
-                                pa.raw(),
-                                "page memo agrees with the page table"
-                            );
-                            va.raw() + span_bytes
-                        }
-                        None => (vpn + 1) * self.page_bytes,
-                    };
-                    let tw = match &mut self.sim {
-                        Sim::Cache(tw) => Some(tw),
-                        Sim::Split { icache, .. } => Some(icache),
-                        _ => None,
-                    };
-                    if let Some(tw) = tw {
-                        // Scheduled service: when the geometry admits
-                        // set-state tables (physically indexed FIFO,
-                        // set span >= page), size the whole burst from
-                        // the trap bitmap's word-level trapped run,
-                        // service it against the set-state table in
-                        // one pass — replaying a recorded miss
-                        // schedule when its signature matches — and
-                        // flush with one batched retire/advance. The
-                        // stepwise loop below remains the reference
-                        // path (and the fallback for ineligible
-                        // geometries, budget-starved entries and the
-                        // TW_SCHED=0 kill switch); the differential
-                        // suite pins the two bit-identical.
-                        if self.sched_enabled
-                            && tw.sched_eligible()
-                            && !self.machine.breakpoints_in(va, page_end - va.raw())
-                        {
-                            let ring_on = self.ring.enabled();
-                            let miss_ov = tw.miss_overhead_cycles();
-                            let req = BurstRequest {
-                                component,
-                                tid,
-                                va,
-                                pa,
-                                rem_words: remaining,
-                                page_end_va: page_end,
-                                budget_milli: self
-                                    .machine
-                                    .cycles_until_tick()
-                                    .saturating_mul(1000)
-                                    .saturating_sub(self.cpi_acc_milli),
-                                cpi_milli: cpi,
-                                dilate_ov_milli: if self.cfg.dilate {
-                                    miss_ov.saturating_mul(1000)
-                                } else {
-                                    0
-                                },
-                                masked: !self.machine.interrupts_enabled(),
-                                want_victims: ring_on,
-                            };
-                            let served =
-                                tw.service_burst(self.machine.traps_mut(), &mut self.sched, &req);
-                            if let Some(s) = served {
-                                if ring_on && !req.masked {
-                                    // Re-derive each miss's stepwise
-                                    // virtual timestamp from the CPI
-                                    // telescoping identity: the cycles
-                                    // burst before chunk i are
-                                    // floor((acc0 + prefix_i)/1000),
-                                    // plus i dilated miss overheads.
-                                    let now = self.machine.now();
-                                    let vpn_ev = va.page_number(self.page_bytes);
-                                    let mut prefix_milli = self.cpi_acc_milli;
-                                    let mut rem_w = remaining;
-                                    let mut cva = va;
-                                    for (i, victim) in self.sched.last_burst_victims().enumerate() {
-                                        let cycle = now
-                                            + prefix_milli / 1000
-                                            + if self.cfg.dilate {
-                                                i as u64 * miss_ov
-                                            } else {
-                                                0
-                                            };
-                                        self.ring.record(TrapEvent {
-                                            cycle,
-                                            tid: tid.raw(),
-                                            vpn: vpn_ev,
-                                            kind: TrapKind::IFetch,
-                                            victim,
-                                        });
-                                        let cend =
-                                            cva.line_base(self.chunk_bytes) + self.chunk_bytes;
-                                        let cw = rem_w.min((cend - cva) / tapeworm_mem::WORD_BYTES);
-                                        prefix_milli += cw * cpi;
-                                        rem_w -= cw;
-                                        cva += cw * tapeworm_mem::WORD_BYTES;
-                                    }
-                                }
-                                // Machine-side flush: one batched
-                                // retire + trap/breakpoint counters,
-                                // one deferred advance (the budget
-                                // pre-check inside service_burst
-                                // guarantees it fires no tick).
-                                self.machine.retire_trapped_burst(s.words, s.chunks);
-                                self.cpi_acc_milli += s.words * cpi;
-                                let burst_cycles = self.cpi_acc_milli / 1000;
-                                self.cpi_acc_milli %= 1000;
-                                self.monster.record(component, s.words, burst_cycles);
-                                self.miss_batch_flushes += 1;
-                                self.advance(burst_cycles, s.overhead_cycles)?;
-                                va += s.words * tapeworm_mem::WORD_BYTES;
-                                remaining -= s.words;
-                                continue;
-                            }
-                        }
-                        let ring_on = self.ring.enabled();
-                        let delta = pa.raw().wrapping_sub(va.raw());
-                        let dilate_ov_milli = if self.cfg.dilate {
-                            tw.miss_overhead_cycles().saturating_mul(1000)
-                        } else {
-                            0
-                        };
-                        let mut budget_milli = self
-                            .machine
-                            .cycles_until_tick()
-                            .saturating_mul(1000)
-                            .saturating_sub(self.cpi_acc_milli);
-                        let mut bva = va;
-                        let mut brem = remaining;
-                        // The preamble already measured this chunk's
-                        // span (that's what routed it here); reuse it
-                        // for the first iteration instead of re-running
-                        // the bitmap scan.
-                        let mut head_span = Some(span_words);
-                        while brem > 0 && bva.raw() < page_end {
-                            let bchunk_end = bva.line_base(self.chunk_bytes) + self.chunk_bytes;
-                            let bw = brem.min((bchunk_end - bva) / tapeworm_mem::WORD_BYTES);
-                            let bpa = PhysAddr::new(bva.raw().wrapping_add(delta));
-                            let bspan = match head_span.take() {
-                                Some(s) => s,
-                                None => {
-                                    let bmax =
-                                        brem.min((page_end - bva.raw()) / tapeworm_mem::WORD_BYTES);
-                                    if self.machine.frame_clean(bpa) {
-                                        bmax
-                                    } else {
-                                        self.machine
-                                            .clean_span(bpa, bmax * tapeworm_mem::WORD_BYTES)
-                                            / tapeworm_mem::WORD_BYTES
-                                    }
-                                }
-                            };
-                            if bspan >= bw {
-                                break; // clean stretch: the fast path takes over
-                            }
-                            let cost_milli = bw * cpi + dilate_ov_milli;
-                            if cost_milli >= budget_milli {
-                                break; // tick imminent: stepwise delivers it
-                            }
-                            match self.machine.access(AccessKind::IFetch, bva, bpa) {
-                                FetchOutcome::Run => budget_milli -= bw * cpi,
-                                FetchOutcome::EccTrap => {
-                                    // Stepwise records the event before
-                                    // this chunk's own advance: virtual
-                                    // now = base clock + cycles already
-                                    // burst.
-                                    let cycle = self.machine.now()
-                                        + burst_cycles
-                                        + if self.cfg.dilate { burst_overhead } else { 0 };
-                                    // handle_miss charges exactly
-                                    // miss_overhead_cycles() — the
-                                    // pre-check above bounds this.
-                                    burst_overhead += tw.handle_miss(
-                                        self.machine.traps_mut(),
-                                        component,
-                                        tid,
-                                        bva,
-                                        bpa,
-                                    );
-                                    budget_milli -= cost_milli;
-                                    if ring_on {
-                                        self.ring.record(TrapEvent {
-                                            cycle,
-                                            tid: tid.raw(),
-                                            vpn: bva.page_number(self.page_bytes),
-                                            kind: TrapKind::IFetch,
-                                            victim: tw.last_victim().map(|pa| pa.raw()),
-                                        });
-                                    }
-                                }
-                                FetchOutcome::MaskedEccSkipped => {
-                                    tw.note_masked_miss();
-                                    budget_milli -= bw * cpi;
-                                }
-                                FetchOutcome::WriteTrapDestroyed | FetchOutcome::Breakpoint => {
-                                    unreachable!("instruction fetches with no breakpoints armed")
-                                }
-                            }
-                            self.cpi_acc_milli += bw * cpi;
-                            burst_cycles += self.cpi_acc_milli / 1000;
-                            self.cpi_acc_milli %= 1000;
-                            burst_words += bw;
-                            brem -= bw;
-                            bva += bw * tapeworm_mem::WORD_BYTES;
-                        }
-                    }
-                    if burst_words > 0 {
-                        self.machine.retire(burst_words);
-                        self.monster.record(component, burst_words, burst_cycles);
-                        self.miss_batch_flushes += 1;
-                        self.advance(burst_cycles, burst_overhead)?;
-                        va += burst_words * tapeworm_mem::WORD_BYTES;
-                        remaining -= burst_words;
+            if walk {
+                let seg = remaining
+                    .min(((vpn + 1) * self.page_bytes - va.raw()) / tapeworm_mem::WORD_BYTES);
+                // A frame with no traps at all (every page of an
+                // unsimulated component) takes one O(1) count load and
+                // one tick-budget check; anything else walks.
+                if self.machine.frame_clean(pa) {
+                    let w = self.first_chunk_words(va, seg);
+                    if let Some((batch, chunks)) = self.clean_batch(va, w, seg, self.cpi_acc_milli)
+                    {
+                        self.fast_runs += 1;
+                        self.fast_words += batch;
+                        self.flush(component, batch, chunks, 0)?;
+                        va += batch * tapeworm_mem::WORD_BYTES;
+                        remaining -= batch;
                         continue;
                     }
                 }
+                let done = self.walk_segment(component, tid, va, pa, seg)?;
+                va += done * tapeworm_mem::WORD_BYTES;
+                remaining -= done;
+                continue;
             }
 
+            let chunk_end = va.line_base(self.chunk_bytes) + self.chunk_bytes;
+            let w = remaining.min((chunk_end - va) / tapeworm_mem::WORD_BYTES);
             let mut overhead = 0u64;
             if let Sim::Buffer(kt) = &mut self.sim {
                 // The annotated system records every fetch (all
@@ -1220,47 +869,218 @@ impl<'c> Engine<'c> {
                     kt.reference(component, va + i * tapeworm_mem::WORD_BYTES);
                 }
             } else if !matches!(self.sim, Sim::Tlb(_)) {
-                match self.machine.access(AccessKind::IFetch, va, pa) {
-                    FetchOutcome::Run => {}
-                    FetchOutcome::EccTrap => {
-                        overhead = match &mut self.sim {
-                            Sim::Cache(tw) => {
-                                tw.handle_miss(self.machine.traps_mut(), component, tid, va, pa)
-                            }
-                            Sim::TwoLevel(tw) => {
-                                tw.handle_miss(self.machine.traps_mut(), component, tid, va, pa)
-                            }
-                            Sim::Split { icache, .. } => {
-                                icache.handle_miss(self.machine.traps_mut(), component, tid, va, pa)
-                            }
-                            Sim::Tlb(_) | Sim::Buffer(_) => unreachable!(),
-                        };
-                        if self.ring.enabled() {
-                            self.record_trap(TrapKind::IFetch, tid, va);
-                        }
-                    }
-                    FetchOutcome::MaskedEccSkipped => match &mut self.sim {
-                        Sim::Cache(tw) => tw.note_masked_miss(),
-                        Sim::Split { icache, .. } => icache.note_masked_miss(),
-                        _ => {}
-                    },
-                    FetchOutcome::WriteTrapDestroyed | FetchOutcome::Breakpoint => {
-                        unreachable!("instruction fetches with no breakpoints armed")
-                    }
+                let outcome = self.machine.access(AccessKind::IFetch, va, pa);
+                if outcome != FetchOutcome::Run {
+                    overhead = self.service_fetch(outcome, component, tid, va, pa, 0);
                 }
             }
 
-            self.machine.retire(w);
-            self.cpi_acc_milli += w * self.cfg.base_cpi_milli;
-            let workload_cycles = self.cpi_acc_milli / 1000;
-            self.cpi_acc_milli %= 1000;
-            self.monster.record(component, w, workload_cycles);
-            self.advance(workload_cycles, overhead)?;
-
+            self.flush(component, w, 0, overhead)?;
             va += w * tapeworm_mem::WORD_BYTES;
             remaining -= w;
         }
         Ok(())
+    }
+
+    /// The trap-service walk: executes up to `seg` words of one page
+    /// segment starting at `va` (physical `pa`) and returns how many it
+    /// retired (always at least the first chunk).
+    ///
+    /// The walk moves chunk by chunk and keeps the bookkeeping pending:
+    /// * a clean stretch — a [`Machine::clean_span`] scan of the live
+    ///   trap bitmap covers the chunk — retires as one fast run of
+    ///   whole chunks whose cycles stay strictly short of the next tick
+    ///   (the chunk that would reach the tick goes through the probe
+    ///   below and is not counted as fast);
+    /// * any other chunk is probed through [`Machine::access`], which
+    ///   counts it exactly as the stepwise loop does, and a trap is
+    ///   serviced inline by the plain miss handler.
+    ///
+    /// Words, workload cycles and handler overhead are flushed with one
+    /// retire, one [`Monster::record`] and one [`Engine::advance`] — at
+    /// the end of the segment, or right after the chunk whose cycles
+    /// reach the next tick. Bit-exactness by construction:
+    /// * before that chunk no stepwise advance could fire a tick, and
+    ///   the deferred advance lands on the same cycle with the same
+    ///   ticks (CPI accumulation telescopes:
+    ///   `Σ⌊·/1000⌋` over chunks equals one `⌊Σ/1000⌋` when the
+    ///   remainders carry), so interrupts are delivered at the stepwise
+    ///   positions — even for the two-level hierarchy, whose handler
+    ///   cost varies, because the check runs after the charge;
+    /// * trap state is re-read per chunk, so victims re-armed ahead of
+    ///   the walk (small caches) are seen exactly when stepwise would
+    ///   see them;
+    /// * `lag` is the millicycle distance from the machine clock to
+    ///   the stepwise clock — CPI accumulator plus pending words times
+    ///   CPI plus 1000 × pending dilated overhead — so ring events and
+    ///   the clean-stretch tick budget read the stepwise values;
+    /// * the clean stretch applies the stepwise batching rule to that
+    ///   virtual clock, so `FastRuns`/`FastWords` (digest-frozen) count
+    ///   exactly the batches a flushed engine would, trailing partial
+    ///   chunk included.
+    ///
+    /// Kept out of line: inlined, it slows the clean-frame path of
+    /// [`Engine::exec_words`] measurably on hit-bound configurations.
+    #[inline(never)]
+    fn walk_segment(
+        &mut self,
+        component: Component,
+        tid: Tid,
+        va: VirtAddr,
+        pa: PhysAddr,
+        seg: u64,
+    ) -> Result<u64, TrialError> {
+        const WORD: u64 = tapeworm_mem::WORD_BYTES;
+        let cpi = self.cfg.base_cpi_milli;
+        let delta = pa.raw().wrapping_sub(va.raw());
+        let until_milli = self.machine.cycles_until_tick().saturating_mul(1000);
+        let dilate_milli = if self.cfg.dilate { 1000 } else { 0 };
+        let mut lag = self.cpi_acc_milli;
+        let mut words = 0u64;
+        let mut clean_chunks = 0u64;
+        let mut overhead = 0u64;
+        let mut cva = va;
+        while words < seg {
+            let left = seg - words;
+            let cw = self.first_chunk_words(cva, left);
+            let cpa = PhysAddr::new(cva.raw().wrapping_add(delta));
+            let span = self.machine.clean_span(cpa, left * WORD) / WORD;
+            if span >= cw {
+                if let Some((batch, chunks)) = self.clean_batch(cva, cw, span, lag) {
+                    self.fast_runs += 1;
+                    self.fast_words += batch;
+                    clean_chunks += chunks;
+                    words += batch;
+                    lag += batch * cpi;
+                    cva += batch * WORD;
+                    continue;
+                }
+            }
+            let outcome = self.machine.access(AccessKind::IFetch, cva, cpa);
+            if outcome != FetchOutcome::Run {
+                let ov = self.service_fetch(outcome, component, tid, cva, cpa, lag);
+                overhead += ov;
+                lag += ov * dilate_milli;
+            }
+            words += cw;
+            lag += cw * cpi;
+            cva += cw * WORD;
+            if lag >= until_milli {
+                break; // this chunk reaches the tick: flush now
+            }
+        }
+        self.walk_flushes += 1;
+        self.flush(component, words, clean_chunks, overhead)?;
+        Ok(words)
+    }
+
+    /// Words from `va` to the end of its chunk, capped at `max`.
+    #[inline]
+    fn first_chunk_words(&self, va: VirtAddr, max: u64) -> u64 {
+        let into_chunk = va.raw() & (self.chunk_bytes - 1);
+        max.min((self.chunk_bytes - into_chunk) / tapeworm_mem::WORD_BYTES)
+    }
+
+    /// The resident-run batching rule: given a trap-free `span` of
+    /// words at `va` whose first chunk holds `w` words, and the clock
+    /// `lag_milli` millicycles behind the stepwise clock, the batch is
+    /// the first chunk plus every whole chunk whose cycles stay
+    /// strictly short of the next tick — `(words, chunks)` — or `None`
+    /// when the first chunk would already reach the tick (it is then
+    /// probed instead) or a breakpoint overlaps.
+    #[inline]
+    fn clean_batch(&self, va: VirtAddr, w: u64, span: u64, lag_milli: u64) -> Option<(u64, u64)> {
+        let cpi = self.cfg.base_cpi_milli;
+        // Largest word count with lag + n·cpi < until·1000; the caller
+        // keeps lag below until·1000, so the budget is at least 1.
+        let w_tick = if cpi == 0 {
+            u64::MAX
+        } else {
+            (self.machine.cycles_until_tick().saturating_mul(1000) - lag_milli - 1) / cpi
+        };
+        let cap = span.min(w_tick);
+        if cap < w {
+            return None;
+        }
+        let chunk_words = self.chunk_bytes / tapeworm_mem::WORD_BYTES;
+        let chunks = 1 + (cap - w) / chunk_words;
+        let batch = w + (chunks - 1) * chunk_words;
+        let clear = !self
+            .machine
+            .breakpoints_in(va, batch * tapeworm_mem::WORD_BYTES);
+        clear.then_some((batch, chunks))
+    }
+
+    /// Commits `words` executed instructions in one step: retires them
+    /// (with the breakpoint probes of `clean_chunks` batched chunks),
+    /// charges their workload cycles to `component` and advances the
+    /// clock by those cycles plus `overhead` handler cycles.
+    #[inline]
+    fn flush(
+        &mut self,
+        component: Component,
+        words: u64,
+        clean_chunks: u64,
+        overhead: u64,
+    ) -> Result<(), TrialError> {
+        self.machine.retire_clean_run(words, clean_chunks);
+        self.cpi_acc_milli += words * self.cfg.base_cpi_milli;
+        let workload_cycles = self.cpi_acc_milli / 1000;
+        self.cpi_acc_milli %= 1000;
+        self.monster.record(component, words, workload_cycles);
+        self.advance(workload_cycles, overhead)
+    }
+
+    /// Acts on one instruction fetch's trapping probe outcome (callers
+    /// skip [`FetchOutcome::Run`]): an ECC trap runs the simulator's
+    /// miss handler (and, with the ring on, records an
+    /// event stamped `lag_milli / 1000` cycles past the machine clock —
+    /// where the stepwise clock stands); a masked trap is counted as a
+    /// lost miss. Returns the handler's overhead cycles. Out of line
+    /// for the same reason as [`Engine::walk_segment`].
+    #[inline(never)]
+    fn service_fetch(
+        &mut self,
+        outcome: FetchOutcome,
+        component: Component,
+        tid: Tid,
+        va: VirtAddr,
+        pa: PhysAddr,
+        lag_milli: u64,
+    ) -> u64 {
+        match outcome {
+            FetchOutcome::Run => 0,
+            FetchOutcome::EccTrap => {
+                let overhead = match &mut self.sim {
+                    Sim::Cache(tw) => {
+                        tw.handle_miss(self.machine.traps_mut(), component, tid, va, pa)
+                    }
+                    Sim::TwoLevel(tw) => {
+                        tw.handle_miss(self.machine.traps_mut(), component, tid, va, pa)
+                    }
+                    Sim::Split { icache, .. } => {
+                        icache.handle_miss(self.machine.traps_mut(), component, tid, va, pa)
+                    }
+                    Sim::Tlb(_) | Sim::Buffer(_) => unreachable!(),
+                };
+                if self.ring.enabled() {
+                    let cycle = self.machine.now() + lag_milli / 1000;
+                    self.record_trap(TrapKind::IFetch, tid, va, cycle);
+                }
+                overhead
+            }
+            FetchOutcome::MaskedEccSkipped => {
+                match &mut self.sim {
+                    Sim::Cache(tw) => tw.note_masked_miss(),
+                    Sim::Split { icache, .. } => icache.note_masked_miss(),
+                    _ => {}
+                }
+                0
+            }
+            FetchOutcome::WriteTrapDestroyed | FetchOutcome::Breakpoint => {
+                unreachable!("instruction fetches with no breakpoints armed")
+            }
+        }
     }
 
     /// Advances wall-clock time and services any clock interrupts. At
@@ -1439,13 +1259,7 @@ impl<'c> Engine<'c> {
         counters.add(CounterId::ClockTicksDropped, self.ticks_dropped);
         counters.add(CounterId::FastRuns, self.fast_runs);
         counters.add(CounterId::FastWords, self.fast_words);
-        counters.add(CounterId::MissBatchFlushes, self.miss_batch_flushes);
-        let memo_hits = match &self.sim {
-            Sim::Cache(tw) => tw.victim_memo_hits(),
-            Sim::Split { icache, dcache } => icache.victim_memo_hits() + dcache.victim_memo_hits(),
-            Sim::TwoLevel(_) | Sim::Tlb(_) | Sim::Buffer(_) => 0,
-        };
-        counters.add(CounterId::VictimMemoHits, memo_hits);
+        counters.add(CounterId::MissBatchFlushes, self.walk_flushes);
         let sparse = self
             .machine
             .sparse_stats()
@@ -1453,9 +1267,6 @@ impl<'c> Engine<'c> {
         counters.add(CounterId::SparseChunksAllocated, sparse.chunks_allocated);
         counters.add(CounterId::ZeroChunksDeduped, sparse.zero_chunks_deduped);
         counters.add(CounterId::ChunkFaults, sparse.chunk_faults);
-        counters.add(CounterId::SchedReplays, self.sched.replays());
-        counters.add(CounterId::SchedRecords, self.sched.records());
-        counters.add(CounterId::SchedSigMisses, self.sched.sig_misses());
 
         let mut phases = PhaseCycles::new();
         phases.add(Phase::Kernel, self.monster.cycles(Component::Kernel));
@@ -1617,6 +1428,125 @@ mod tests {
     fn small_cfg() -> SystemConfig {
         let cache = CacheConfig::new(4096, 16, 1).expect("valid geometry");
         SystemConfig::cache(Workload::Espresso, cache).with_scale(20_000)
+    }
+
+    /// Engine state a hand-built run can move, other than the walk's
+    /// own tallies.
+    #[derive(Debug, PartialEq, Eq)]
+    struct MachineState {
+        now: u64,
+        instructions: u64,
+        breakpoint_checks: u64,
+        trap_entries: u64,
+        clock_interrupts: u64,
+        cpi_acc_milli: u64,
+        kernel_cycles: u64,
+    }
+
+    /// Runs `words` kernel fetches from the start of a freshly mapped
+    /// kernel page whose traps are all cleared except the 16-byte
+    /// granules listed in `trapped`, with the clock parked exactly
+    /// `until` cycles before its next tick and the CPI accumulator at 0
+    /// (so a clean word costs exactly 1.7 cycles). The interrupt
+    /// handler is empty, so a tick adds no fetches of its own. Returns
+    /// the `(FastRuns, FastWords)` the run added, the walk flushes it
+    /// made, and the engine state after it.
+    fn hand_built_run(
+        walk: bool,
+        trapped: &[u64],
+        until: u64,
+        words: u32,
+    ) -> ((u64, u64), u64, MachineState) {
+        let cache = CacheConfig::new(64 * 1024, 16, 1).expect("valid geometry");
+        let mut cfg = SystemConfig::cache(Workload::Espresso, cache)
+            .with_scale(20_000)
+            .with_fast_path(walk);
+        cfg.interrupt_handler_words = 0;
+        let mut scratch = TrialScratch::new();
+        let mut e =
+            Engine::new(&cfg, SeedSeq::new(1), SeedSeq::new(2), &mut scratch).expect("boots");
+        let va = VirtAddr::new(KERNEL_TEXT_BASE);
+        let pa = e.touch(Component::Kernel, Tid::KERNEL, va).expect("maps");
+        let page = e.page_bytes;
+        e.machine.traps_mut().clear_range(pa, page);
+        for &g in trapped {
+            e.machine.traps_mut().set_range(pa + g * 16, 16);
+        }
+        if e.machine.cycles_until_tick() <= until {
+            e.advance(e.machine.cycles_until_tick(), 0).expect("ticks");
+        }
+        e.advance(e.machine.cycles_until_tick() - until, 0)
+            .expect("no tick");
+        assert_eq!(e.machine.cycles_until_tick(), until);
+        e.cpi_acc_milli = 0;
+        let (runs, fast_words, flushes) = (e.fast_runs, e.fast_words, e.walk_flushes);
+        e.exec_words(Component::Kernel, Tid::KERNEL, va, words)
+            .expect("runs");
+        let state = MachineState {
+            now: e.machine.now(),
+            instructions: e.machine.instructions(),
+            breakpoint_checks: e.machine.breakpoint_checks(),
+            trap_entries: e.machine.trap_entries(),
+            clock_interrupts: e.machine.clock_interrupts(),
+            cpi_acc_milli: e.cpi_acc_milli,
+            kernel_cycles: e.monster.cycles(Component::Kernel),
+        };
+        (
+            (e.fast_runs - runs, e.fast_words - fast_words),
+            e.walk_flushes - flushes,
+            state,
+        )
+    }
+
+    // The digest-frozen batching rule (`FastRuns`/`FastWords` sit in
+    // the golden digests' counter prefix): a clean stretch retires as
+    // whole chunks, a trailing partial chunk is its own run, the chunk
+    // reaching the tick is probed rather than batched, and a trapped
+    // chunk splits the stretch. Granule 255 (the page's last line,
+    // never reached) is trapped so the walk, not the clean-frame
+    // shortcut, runs; each case also matches the stepwise loop's
+    // machine state exactly.
+
+    #[test]
+    fn a_run_ending_mid_chunk_is_two_fast_runs() {
+        // 10 words from a line start: two whole 4-word chunks, then a
+        // trailing 2-word partial chunk as its own run — in one walk
+        // flush, and identically through the clean-frame shortcut.
+        let (fast, flushes, state) = hand_built_run(true, &[255], 50_000, 10);
+        assert_eq!(fast, (2, 10));
+        assert_eq!(flushes, 1);
+        let (stepwise, _, reference) = hand_built_run(false, &[255], 50_000, 10);
+        assert_eq!(stepwise, (0, 0));
+        assert_eq!(state, reference);
+        let (fast, flushes, state) = hand_built_run(true, &[], 50_000, 10);
+        assert_eq!((fast, flushes), ((2, 10), 0));
+        assert_eq!(state, hand_built_run(false, &[], 50_000, 10).2);
+    }
+
+    #[test]
+    fn the_chunk_reaching_a_tick_is_not_counted_as_fast() {
+        // 1000 cycles of headroom: 588 words cost 999.6 cycles, so 147
+        // whole chunks batch; the 148th chunk (words 588..592) reaches
+        // the tick, is probed and flushes the walk; the remaining 8
+        // words batch in a second walk after the tick.
+        let (fast, flushes, state) = hand_built_run(true, &[255], 1000, 600);
+        assert_eq!(fast, (2, 596));
+        assert_eq!(flushes, 2);
+        assert_eq!(state.clock_interrupts, 1);
+        let (_, _, reference) = hand_built_run(false, &[255], 1000, 600);
+        assert_eq!(state, reference);
+    }
+
+    #[test]
+    fn a_trapped_chunk_mid_run_splits_the_clean_stretch() {
+        // 16 words over four chunks, the third trapped: chunks 0-1
+        // batch, chunk 2 misses inline, chunk 3 batches — one flush.
+        let (fast, flushes, state) = hand_built_run(true, &[2, 255], 50_000, 16);
+        assert_eq!(fast, (2, 12));
+        assert_eq!(flushes, 1);
+        assert_eq!(state.trap_entries, 1);
+        let (_, _, reference) = hand_built_run(false, &[2, 255], 50_000, 16);
+        assert_eq!(state, reference);
     }
 
     #[test]

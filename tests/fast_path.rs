@@ -1,21 +1,26 @@
-//! Differential suite for the resident-run fast path.
+//! Differential suite for the trap-service walk.
 //!
-//! The engine's hot loop may retire whole trap-free instruction runs in
-//! one batch instead of stepping chunk by chunk. That optimisation is
-//! only legal because it is *bit-identical* to stepwise execution —
-//! same `TrialResult`, same interrupt delivery positions, same
-//! observability counters (minus the fast-path tallies themselves).
-//! This suite pins that equivalence for every simulator mode and for
-//! both serial and parallel sweeps, and exercises the two kill
-//! switches: `SystemConfig::with_fast_path(false)` and the `TW_FAST=0`
-//! environment knob.
+//! The engine's hot loop walks each page segment chunk by chunk:
+//! trap-free stretches retire in one batch, trapped chunks are serviced
+//! inline by the plain miss handler, and the retire/phase/clock
+//! bookkeeping is flushed once per segment — or right after the chunk
+//! whose cycles reach the next clock tick. That optimisation is only
+//! legal because it is *bit-identical* to the stepwise reference loop
+//! (`SystemConfig::with_fast_path(false)`): same `TrialResult`, same
+//! interrupt delivery positions, same ring events with the same virtual
+//! timestamps, same phase account and same counters (minus the walk's
+//! own tallies). This suite pins that equivalence for every simulator
+//! mode, for serial and parallel sweeps, with and without time
+//! dilation, with ticks landing inside miss runs and with masked traps
+//! inside the walk; and it exercises the `TW_FAST=0` kill switch.
 
 use std::sync::Mutex;
 
 use tapeworm::core::{CacheConfig, TlbSimConfig};
-use tapeworm::obs::CounterId;
+use tapeworm::obs::{CounterId, TrialMetrics};
 use tapeworm::sim::{
-    run_sweep, run_trial_observed, ComponentSet, ObsConfig, SystemConfig, TrialResult,
+    run_sweep_resilient, run_trial_observed, ComponentSet, ObsConfig, SweepOptions, SystemConfig,
+    TrialResult,
 };
 use tapeworm::stats::SeedSeq;
 use tapeworm::workload::Workload;
@@ -34,7 +39,8 @@ fn dm(kb: u64) -> CacheConfig {
 }
 
 /// One configuration per simulator mode, same shapes as the golden
-/// determinism matrix.
+/// determinism matrix, plus the miss-rich user-only cache config the
+/// benchmark's `user-4k` workload is built on.
 fn modes() -> Vec<(&'static str, SystemConfig)> {
     vec![
         (
@@ -46,6 +52,12 @@ fn modes() -> Vec<(&'static str, SystemConfig)> {
             SystemConfig::cache(Workload::Espresso, dm(4))
                 .with_components(ComponentSet::user_only())
                 .with_sampling(8)
+                .with_scale(SCALE),
+        ),
+        (
+            "cache-user-only",
+            SystemConfig::cache(Workload::MpegPlay, dm(4))
+                .with_components(ComponentSet::user_only())
                 .with_scale(SCALE),
         ),
         (
@@ -71,57 +83,120 @@ fn flatten(cells: &[tapeworm::sim::TrialSummary]) -> Vec<&TrialResult> {
     cells.iter().flat_map(|c| c.results()).collect()
 }
 
-/// The acceptance bar: for every simulator mode, a sweep with the fast
-/// path enabled commits `TrialResult`s bit-identical to the forced slow
-/// path, at 1 and 4 worker threads. (Metrics are compared modulo the
-/// fast-path tallies, which legitimately differ.)
+/// The walk's own tallies: zero on the stepwise loop by definition.
+/// Every other counter must match, including the rest of the
+/// digest-frozen prefix. `FastRuns`/`FastWords` are pinned instead by
+/// the golden digests and by the engine's hand-built-run unit tests.
+fn walk_bookkeeping(id: CounterId) -> bool {
+    matches!(
+        id,
+        CounterId::FastRuns | CounterId::FastWords | CounterId::MissBatchFlushes
+    )
+}
+
+/// Asserts two trials' metrics agree on everything the simulation
+/// itself observes: every counter outside the walk's bookkeeping, the
+/// phase account, and the ring (event count, drops and each retained
+/// event's kind, virtual cycle, thread, page and victim).
+fn assert_metrics_match(what: &str, walk: &TrialMetrics, stepwise: &TrialMetrics) {
+    for (id, sv) in stepwise.counters.iter() {
+        if walk_bookkeeping(id) {
+            continue;
+        }
+        assert_eq!(sv, walk.counters.get(id), "{what}: counter {id} diverged");
+    }
+    assert_eq!(
+        stepwise.phases, walk.phases,
+        "{what}: phase cycles diverged"
+    );
+    assert_eq!(
+        (stepwise.events_recorded, stepwise.events_dropped),
+        (walk.events_recorded, walk.events_dropped),
+        "{what}: event counts diverged"
+    );
+    assert_eq!(stepwise.events, walk.events, "{what}: ring events diverged");
+}
+
+/// The acceptance bar: for every simulator mode, a sweep through the
+/// walk commits `TrialResult`s bit-identical to the stepwise loop, at
+/// 1, 4 and 8 worker threads, with matching merged counters, phase
+/// account and ring events.
 #[test]
 fn fast_path_is_bit_identical_to_slow_path() {
+    let sweep = |cfg: SystemConfig, threads: usize| {
+        let opts = SweepOptions::default()
+            .with_threads(threads)
+            .with_obs(ObsConfig::with_ring(1 << 16));
+        run_sweep_resilient(&[cfg], 4, SeedSeq::new(1994), &opts)
+    };
     for (label, cfg) in modes() {
-        let slow_cfgs = vec![cfg.clone().with_fast_path(false)];
-        let fast_cfgs = vec![cfg];
-        let slow = run_sweep(&slow_cfgs, 4, SeedSeq::new(1994), 1);
-        for threads in [1usize, 4] {
-            let fast = run_sweep(&fast_cfgs, 4, SeedSeq::new(1994), threads);
+        let slow = sweep(cfg.clone().with_fast_path(false), 1);
+        assert_eq!(slow.cells()[0].metrics().events_dropped, 0, "{label}");
+        for threads in [1usize, 4, 8] {
+            let fast = sweep(cfg.clone(), threads);
             assert_eq!(
-                flatten(&slow),
-                flatten(&fast),
-                "{label}: fast path diverged from slow path at threads={threads}"
+                flatten(slow.cells()),
+                flatten(fast.cells()),
+                "{label}: walk diverged from the stepwise loop at threads={threads}"
             );
-            // Everything the simulation itself counts must match too;
-            // only the fast-path bookkeeping may differ.
-            let (sm, fm) = (&slow[0].metrics(), &fast[0].metrics());
-            for (id, sv) in sm.counters.iter() {
-                // The miss-burst flush tally rides the fast path
-                // (bursts only form where the batched clean-run scan
-                // runs), so it differs with the fast path off too —
-                // as do the miss-schedule tallies and the victim memo,
-                // which the schedule path replaces wholesale.
-                if matches!(
-                    id,
-                    CounterId::FastRuns
-                        | CounterId::FastWords
-                        | CounterId::MissBatchFlushes
-                        | CounterId::VictimMemoHits
-                        | CounterId::SchedReplays
-                        | CounterId::SchedRecords
-                        | CounterId::SchedSigMisses
-                ) {
-                    continue;
-                }
-                assert_eq!(
-                    sv,
-                    fm.counters.get(id),
-                    "{label}: counter {id} diverged at threads={threads}"
-                );
-            }
-            assert_eq!(sm.phases, fm.phases, "{label}: phase cycles diverged");
+            assert_metrics_match(
+                &format!("{label} threads={threads}"),
+                fast.cells()[0].metrics(),
+                slow.cells()[0].metrics(),
+            );
         }
     }
 }
 
-/// The fast path actually engages where it is supposed to — cache-style
-/// configs retire most instructions through it — and never engages on
+/// The walk defers its clock advance to the chunk that reaches the
+/// next tick, and stamps ring events with the stepwise clock. Pin both
+/// where they are hardest: clock periods short enough (2000 and 3000
+/// cycles) that ticks land inside miss runs, dilation on and off (the
+/// handler overhead then does or does not move the clock), and masked
+/// interrupt-handler prefixes of 400 and 512 words, so masked traps
+/// occur inside the walk — in every simulator mode.
+#[test]
+fn walk_preserves_ring_events_ticks_and_masking() {
+    let base = SeedSeq::new(1994);
+    let trial = base.derive("walk", 0).derive("trial", 0);
+    for (label, cfg) in modes() {
+        for dilate in [true, false] {
+            for (clock_period, masked_prefix_words) in [
+                (100_000, 16),
+                (2000, 400),
+                (2000, 512),
+                (3000, 400),
+                (3000, 512),
+            ] {
+                let mut walk = cfg.clone();
+                walk.dilate = dilate;
+                walk.clock_period = clock_period;
+                walk.masked_prefix_words = masked_prefix_words;
+                let stepwise = walk.clone().with_fast_path(false);
+                let obs = ObsConfig::with_ring(1 << 18);
+                let (wr, wm) = run_trial_observed(&walk, base, trial, obs);
+                let (sr, sm) = run_trial_observed(&stepwise, base, trial, obs);
+                let what = format!(
+                    "{label} dilate={dilate} clock={clock_period} masked={masked_prefix_words}"
+                );
+                assert_eq!(wr, sr, "{what}: results diverged");
+                if clock_period < 100_000 {
+                    assert!(sr.clock_interrupts > 10, "{what}: too few ticks fired");
+                    // Where the kernel is simulated, the long masked
+                    // prefixes lose traps inside the walk.
+                    if matches!(label, "cache" | "split") {
+                        assert!(sr.masked_misses > 0, "{what}: no masked trap");
+                    }
+                }
+                assert_eq!(sm.events_dropped, 0, "{what}: ring too small");
+                assert_metrics_match(&what, &wm, &sm);
+            }
+        }
+    }
+}
+
+/// The walk engages where it is supposed to — cache-style configs
+/// retire most instructions in clean batches — and never engages on
 /// the excluded modes or when disabled.
 #[test]
 fn fast_path_engages_exactly_where_expected() {

@@ -1,20 +1,21 @@
-//! Differential suite for batched miss handling.
+//! Differential suite for inline miss servicing on trap-dense
+//! stretches, over the cache geometries the mode matrix of
+//! `tests/fast_path.rs` leaves out.
 //!
-//! When a chunk's clean-span scan shows a trap-dense stretch, the
-//! engine may service the whole stretch in one coalesced handler pass
-//! (memoized victim selection, merged trap-set range ops) instead of
-//! bouncing trap-by-trap between simulator and kernel. Like the
-//! resident-run fast path, the batch is only legal because it is
-//! *bit-identical* to stepwise servicing — same `TrialResult`, same
-//! ring-event timestamps, same counters (minus the batch bookkeeping
-//! itself). This suite pins that equivalence for every simulator mode,
-//! serial and parallel sweeps, and both kill switches:
-//! `SystemConfig::with_miss_batch(false)` and the `TW_BATCH=0`
-//! environment knob.
+//! Inside a partly trapped frame the engine's trap-service walk probes
+//! each trapped chunk, services its miss inline through the plain
+//! handler and defers the retire/phase/clock bookkeeping to one flush
+//! per page segment (or to the chunk whose cycles reach the next tick).
+//! Replacement state is what that deferral could disturb: the victim a
+//! miss evicts re-arms a trap the walk may reach later in the same
+//! segment. This suite pins the walk bit-identical to the stepwise
+//! reference loop (`SystemConfig::with_fast_path(false)`) on
+//! set-associative FIFO and random caches, virtual indexing, wider
+//! lines and associative split/two-level hierarchies — results,
+//! counters, phases and ring-event virtual timestamps — and pins where
+//! the walk engages.
 
-use std::sync::Mutex;
-
-use tapeworm::core::{CacheConfig, TlbSimConfig};
+use tapeworm::core::{CacheConfig, Indexing, Replacement, TlbSimConfig};
 use tapeworm::obs::CounterId;
 use tapeworm::sim::{
     run_sweep, run_trial_observed, ComponentSet, ObsConfig, SystemConfig, TrialResult,
@@ -24,47 +25,55 @@ use tapeworm::workload::Workload;
 
 const SCALE: u64 = 20_000;
 
-/// Serializes the tests that read or write `TW_BATCH`: the env var is
-/// process-global and is sampled at system construction, so the
-/// engagement assertions would misfire if another test flipped it
-/// mid-run. (The *results* are env-independent by construction — that
-/// is the point of this file — so the equivalence tests need no lock.)
-static ENV_LOCK: Mutex<()> = Mutex::new(());
-
-fn dm(kb: u64) -> CacheConfig {
-    CacheConfig::new(kb * 1024, 16, 1).expect("valid geometry")
+fn cache(kb: u64, line: u64, ways: u32) -> CacheConfig {
+    CacheConfig::new(kb * 1024, line, ways).expect("valid geometry")
 }
 
-/// One configuration per simulator mode, same shapes as the golden
-/// determinism matrix. The miss-rich `user_only` cache config mirrors
-/// the throughput gate, where batching matters most.
-fn modes() -> Vec<(&'static str, SystemConfig)> {
+/// Associative, randomly replaced, virtually indexed and wide-line
+/// geometries in the cache, split and two-level modes.
+fn geometries() -> Vec<(&'static str, SystemConfig)> {
     vec![
         (
-            "cache",
-            SystemConfig::cache(Workload::Espresso, dm(4)).with_scale(SCALE),
-        ),
-        (
-            "cache-user-only",
-            SystemConfig::cache(Workload::MpegPlay, dm(4))
+            "2-way-fifo",
+            SystemConfig::cache(Workload::MpegPlay, cache(8, 16, 2))
                 .with_components(ComponentSet::user_only())
                 .with_scale(SCALE),
         ),
         (
-            "split",
-            SystemConfig::split(Workload::JpegPlay, dm(4), dm(4)).with_scale(SCALE),
+            "4-way-random",
+            SystemConfig::cache(
+                Workload::Espresso,
+                cache(16, 16, 4).with_replacement(Replacement::Random),
+            )
+            .with_scale(SCALE),
         ),
         (
-            "two-level",
-            SystemConfig::two_level(Workload::Espresso, dm(1), dm(8)).with_scale(SCALE),
+            "virtual-dm",
+            SystemConfig::cache(
+                Workload::Xlisp,
+                cache(4, 16, 1).with_indexing(Indexing::Virtual),
+            )
+            .with_scale(SCALE),
         ),
         (
-            "tlb",
-            SystemConfig::tlb(Workload::MpegPlay, TlbSimConfig::r3000()).with_scale(SCALE),
+            "32b-line-dm",
+            SystemConfig::cache(Workload::MpegPlay, cache(2, 32, 1))
+                .with_components(ComponentSet::user_only())
+                .with_scale(SCALE),
         ),
         (
-            "buffer",
-            SystemConfig::kernel_trace_buffer(Workload::MpegPlay, dm(4)).with_scale(SCALE),
+            "split-assoc",
+            SystemConfig::split(Workload::JpegPlay, cache(4, 32, 2), cache(8, 32, 1))
+                .with_scale(SCALE),
+        ),
+        (
+            "two-level-assoc",
+            SystemConfig::two_level(
+                Workload::Ousterhout,
+                cache(1, 32, 2),
+                cache(16, 32, 4).with_replacement(Replacement::Random),
+            )
+            .with_scale(SCALE),
         ),
     ]
 }
@@ -73,144 +82,119 @@ fn flatten(cells: &[tapeworm::sim::TrialSummary]) -> Vec<&TrialResult> {
     cells.iter().flat_map(|c| c.results()).collect()
 }
 
-/// Counters that legitimately differ between batched and stepwise
-/// servicing: the batch bookkeeping itself, and the fast-path tallies
-/// (the burst hands different residues to the clean-run batcher).
-fn batch_bookkeeping(id: CounterId) -> bool {
+/// The walk's own tallies: zero on the stepwise loop by definition.
+fn walk_bookkeeping(id: CounterId) -> bool {
     matches!(
         id,
-        CounterId::MissBatchFlushes
-            | CounterId::VictimMemoHits
-            | CounterId::FastRuns
-            | CounterId::FastWords
-            | CounterId::SchedReplays
-            | CounterId::SchedRecords
-            | CounterId::SchedSigMisses
+        CounterId::FastRuns | CounterId::FastWords | CounterId::MissBatchFlushes
     )
 }
 
-/// The acceptance bar: for every simulator mode, a sweep with miss
-/// batching enabled commits `TrialResult`s bit-identical to stepwise
-/// servicing, at 1, 4 and 8 worker threads. (Metrics are compared
-/// modulo the batch bookkeeping, which legitimately differs.)
+/// For every geometry, a sweep through the walk commits `TrialResult`s
+/// bit-identical to the stepwise loop at 1, 4 and 8 worker threads,
+/// with matching merged counters (outside the walk's tallies) and
+/// phase account.
 #[test]
 fn miss_batch_is_bit_identical_to_stepwise() {
-    for (label, cfg) in modes() {
-        let stepwise_cfgs = vec![cfg.clone().with_miss_batch(false)];
-        let batched_cfgs = vec![cfg];
-        let stepwise = run_sweep(&stepwise_cfgs, 4, SeedSeq::new(1994), 1);
+    for (label, cfg) in geometries() {
+        let stepwise = run_sweep(&[cfg.clone().with_fast_path(false)], 4, SeedSeq::new(1994), 1);
         for threads in [1usize, 4, 8] {
-            let batched = run_sweep(&batched_cfgs, 4, SeedSeq::new(1994), threads);
+            let walk = run_sweep(&[cfg.clone()], 4, SeedSeq::new(1994), threads);
             assert_eq!(
                 flatten(&stepwise),
-                flatten(&batched),
-                "{label}: batched miss handling diverged at threads={threads}"
+                flatten(&walk),
+                "{label}: walk diverged from the stepwise loop at threads={threads}"
             );
-            let (sm, bm) = (&stepwise[0].metrics(), &batched[0].metrics());
+            let (sm, wm) = (stepwise[0].metrics(), walk[0].metrics());
             for (id, sv) in sm.counters.iter() {
-                if batch_bookkeeping(id) {
+                if walk_bookkeeping(id) {
                     continue;
                 }
                 assert_eq!(
                     sv,
-                    bm.counters.get(id),
+                    wm.counters.get(id),
                     "{label}: counter {id} diverged at threads={threads}"
                 );
             }
-            assert_eq!(sm.phases, bm.phases, "{label}: phase cycles diverged");
+            assert_eq!(sm.phases, wm.phases, "{label}: phase cycles diverged");
         }
     }
 }
 
-/// Bursts record ring events with *virtual* timestamps (the cycle the
-/// trap would have been serviced at, had the engine stepped). The
-/// observable event streams must therefore match the stepwise run
-/// exactly — kind, cycle, thread and address — not just the trial
-/// results.
+/// Misses serviced inside the walk record ring events with *virtual*
+/// timestamps (the cycle the stepwise loop would have reached). The
+/// event streams must match the stepwise run exactly — kind, cycle,
+/// thread, page and victim — and stay in time order, with and without
+/// dilation.
 #[test]
 fn miss_batch_preserves_ring_event_timestamps() {
     let base = SeedSeq::new(1994);
     let trial = base.derive("batch", 0).derive("trial", 0);
-    for (label, cfg) in modes() {
-        let stepwise = cfg.clone().with_miss_batch(false);
-        let (br, bmx) = run_trial_observed(&cfg, base, trial, ObsConfig::with_ring(4096));
-        let (sr, smx) = run_trial_observed(&stepwise, base, trial, ObsConfig::with_ring(4096));
-        assert_eq!(br, sr, "{label}: observed results diverged");
-        assert_eq!(
-            bmx.events_recorded, smx.events_recorded,
-            "{label}: event counts diverged"
-        );
-        assert_eq!(bmx.events, smx.events, "{label}: ring events diverged");
-        let cycles: Vec<u64> = bmx.events.iter().map(|e| e.cycle).collect();
-        assert!(
-            cycles.windows(2).all(|w| w[0] <= w[1]),
-            "{label}: burst virtual timestamps out of order"
-        );
+    for (label, cfg) in geometries() {
+        for dilate in [true, false] {
+            let mut walk = cfg.clone();
+            walk.dilate = dilate;
+            let stepwise = walk.clone().with_fast_path(false);
+            let obs = ObsConfig::with_ring(1 << 18);
+            let (wr, wm) = run_trial_observed(&walk, base, trial, obs);
+            let (sr, sm) = run_trial_observed(&stepwise, base, trial, obs);
+            let what = format!("{label} dilate={dilate}");
+            assert_eq!(wr, sr, "{what}: observed results diverged");
+            assert_eq!(sm.events_dropped, 0, "{what}: ring too small");
+            assert_eq!(
+                wm.events_recorded, sm.events_recorded,
+                "{what}: event counts diverged"
+            );
+            assert!(!wm.events.is_empty(), "{what}: no events recorded");
+            assert_eq!(wm.events, sm.events, "{what}: ring events diverged");
+            assert!(
+                wm.events.windows(2).all(|w| w[0].cycle <= w[1].cycle),
+                "{what}: virtual timestamps out of order"
+            );
+        }
     }
 }
 
-/// The batch engages where it is supposed to — the miss-rich gate-shaped
-/// config flushes coalesced bursts — and never engages when disabled via
-/// the config knob.
+/// The walk engages where it is supposed to: on every cache geometry
+/// it services misses inline, many misses sharing one flush; the
+/// stepwise loop never flushes a walk, and neither do the modes that
+/// keep the stepwise loop (TLB and the kernel trace buffer).
 #[test]
 fn miss_batch_engages_exactly_where_expected() {
-    let _guard = ENV_LOCK.lock().expect("env lock");
-    std::env::remove_var("TW_BATCH");
     let base = SeedSeq::new(1994);
     let trial = base.derive("batch", 0).derive("trial", 0);
+    for (label, cfg) in geometries() {
+        let (_, m) = run_trial_observed(&cfg, base, trial, ObsConfig::default());
+        let flushes = m.counters.get(CounterId::MissBatchFlushes);
+        let misses = m.counters.get(CounterId::TrapEntries);
+        assert!(misses > 0, "{label}: no misses");
+        assert!(flushes > 0, "{label}: the walk never flushed");
+        assert!(
+            misses > flushes,
+            "{label}: expected misses to share walk flushes ({misses} misses, {flushes} flushes)"
+        );
 
-    let cfg = SystemConfig::cache(Workload::MpegPlay, dm(4))
-        .with_components(ComponentSet::user_only())
-        .with_scale(SCALE);
-    let (_, m) = run_trial_observed(&cfg, base, trial, ObsConfig::default());
-    assert!(
-        m.counters.get(CounterId::MissBatchFlushes) > 0,
-        "miss-rich config never flushed a batch"
-    );
-    // The victim memo only services bursts when the miss schedule is
-    // not short-circuiting them, so pin its engagement with the
-    // schedule disabled.
-    let memo_cfg = cfg.clone().with_miss_schedule(false);
-    let (_, m) = run_trial_observed(&memo_cfg, base, trial, ObsConfig::default());
-    assert!(
-        m.counters.get(CounterId::VictimMemoHits) > 0,
-        "batch never reused a memoized victim"
-    );
+        let off = cfg.with_fast_path(false);
+        let (_, m) = run_trial_observed(&off, base, trial, ObsConfig::default());
+        assert_eq!(m.counters.get(CounterId::MissBatchFlushes), 0, "{label}: stepwise");
+    }
 
-    let off = cfg.with_miss_batch(false);
-    let (_, m) = run_trial_observed(&off, base, trial, ObsConfig::default());
-    assert_eq!(
-        m.counters.get(CounterId::MissBatchFlushes),
-        0,
-        "disabled batch still flushed"
-    );
-}
-
-/// `TW_BATCH=0` is the no-recompile kill switch: it forces stepwise
-/// servicing (observable in the counters) without perturbing any
-/// result, mirroring `TW_FAST=0` for the resident-run fast path.
-#[test]
-fn tw_batch_env_knob_forces_stepwise_servicing() {
-    let _guard = ENV_LOCK.lock().expect("env lock");
-    let base = SeedSeq::new(1994);
-    let trial = base.derive("batch", 0).derive("trial", 0);
-    let cfg = SystemConfig::cache(Workload::MpegPlay, dm(4))
-        .with_components(ComponentSet::user_only())
-        .with_scale(SCALE);
-
-    std::env::remove_var("TW_BATCH");
-    let (on_result, on_metrics) = run_trial_observed(&cfg, base, trial, ObsConfig::default());
-    assert!(on_metrics.counters.get(CounterId::MissBatchFlushes) > 0);
-
-    std::env::set_var("TW_BATCH", "0");
-    let (off_result, off_metrics) = run_trial_observed(&cfg, base, trial, ObsConfig::default());
-    std::env::remove_var("TW_BATCH");
-
-    assert_eq!(off_metrics.counters.get(CounterId::MissBatchFlushes), 0);
-    assert_eq!(on_result, off_result, "TW_BATCH=0 perturbed the result");
-    // Any value other than "0" leaves batching on.
-    std::env::set_var("TW_BATCH", "1");
-    let (_, again) = run_trial_observed(&cfg, base, trial, ObsConfig::default());
-    std::env::remove_var("TW_BATCH");
-    assert!(again.counters.get(CounterId::MissBatchFlushes) > 0);
+    let dm = cache(4, 16, 1);
+    for (label, cfg) in [
+        (
+            "tlb",
+            SystemConfig::tlb(Workload::MpegPlay, TlbSimConfig::r3000()).with_scale(SCALE),
+        ),
+        (
+            "buffer",
+            SystemConfig::kernel_trace_buffer(Workload::MpegPlay, dm).with_scale(SCALE),
+        ),
+    ] {
+        let (_, m) = run_trial_observed(&cfg, base, trial, ObsConfig::default());
+        assert_eq!(
+            m.counters.get(CounterId::MissBatchFlushes),
+            0,
+            "{label}: keeps the stepwise loop"
+        );
+    }
 }

@@ -1,18 +1,16 @@
-//! Differential suite for set-state tables and miss-schedule replay.
+//! Differential suite for the schedule-eligible cache geometries.
 //!
-//! On the cache/split burst path the engine may service a trapped burst
-//! from per-set residency tables and, when the burst's entry conditions
-//! and set-state signature recur, replay a recorded miss schedule with
-//! zero trapset probes. Both layers are only legal because they are
-//! *bit-identical* to stepwise servicing — same `TrialResult`, same
-//! ring-event virtual timestamps, same counters (minus the schedule
-//! bookkeeping and the victim memo, which the schedule path replaces).
-//! This suite pins that equivalence for every simulator mode, serial
-//! and parallel sweeps, and both kill switches:
-//! `SystemConfig::with_miss_schedule(false)` and the `TW_SCHED=0`
-//! environment knob.
-
-use std::sync::Mutex;
+//! Physically indexed FIFO caches whose sets × line cover a page are
+//! the geometries `tapeworm_core::Tapeworm::service_burst` can serve
+//! from per-set residency tables and recorded miss schedules. The trial
+//! engine no longer calls that layer: its trap-service walk runs the
+//! plain handler inline on every geometry. This suite pins that on the
+//! geometries where recurring trap bursts are densest the walk is
+//! bit-identical to the stepwise reference loop
+//! (`SystemConfig::with_fast_path(false)`) for every workload — results,
+//! counters, phases and ring-event virtual timestamps, in multi-config
+//! sweeps at 1, 4 and 8 threads — and that the retired layers'
+//! counters read 0.
 
 use tapeworm::core::{CacheConfig, TlbSimConfig};
 use tapeworm::obs::CounterId;
@@ -24,179 +22,136 @@ use tapeworm::workload::Workload;
 
 const SCALE: u64 = 20_000;
 
-/// Serializes the tests that read or write `TW_SCHED`: the env var is
-/// process-global and is sampled at system construction, so the
-/// engagement assertions would misfire if another test flipped it
-/// mid-run. (The *results* are env-independent by construction — that
-/// is the point of this file — so the equivalence tests need no lock.)
-static ENV_LOCK: Mutex<()> = Mutex::new(());
-
-fn dm(kb: u64) -> CacheConfig {
-    CacheConfig::new(kb * 1024, 16, 1).expect("valid geometry")
+/// Physically indexed FIFO geometries with sets × line ≥ 4 KiB page.
+fn eligible() -> Vec<CacheConfig> {
+    [(4, 1), (8, 2), (16, 4), (64, 1)]
+        .into_iter()
+        .map(|(kb, ways)| CacheConfig::new(kb * 1024, 16, ways).expect("valid geometry"))
+        .collect()
 }
 
-/// One configuration per simulator mode, same shapes as the golden
-/// determinism matrix. The miss-rich `user_only` cache config mirrors
-/// the throughput gate, where replay matters most.
-fn modes() -> Vec<(&'static str, SystemConfig)> {
-    vec![
-        (
-            "cache",
-            SystemConfig::cache(Workload::Espresso, dm(4)).with_scale(SCALE),
-        ),
-        (
-            "cache-user-only",
-            SystemConfig::cache(Workload::MpegPlay, dm(4))
+/// Every workload on one eligible geometry each (cycling through
+/// them), user-only as in the benchmark's miss-rich workloads, plus a
+/// whole-system cache and an eligible split pair.
+fn configs() -> Vec<SystemConfig> {
+    let geoms = eligible();
+    let mut cfgs: Vec<SystemConfig> = Workload::ALL
+        .into_iter()
+        .zip(geoms.iter().cycle())
+        .map(|(w, g)| {
+            SystemConfig::cache(w, g.clone())
                 .with_components(ComponentSet::user_only())
-                .with_scale(SCALE),
-        ),
-        (
-            "split",
-            SystemConfig::split(Workload::JpegPlay, dm(4), dm(4)).with_scale(SCALE),
-        ),
-        (
-            "two-level",
-            SystemConfig::two_level(Workload::Espresso, dm(1), dm(8)).with_scale(SCALE),
-        ),
-        (
-            "tlb",
-            SystemConfig::tlb(Workload::MpegPlay, TlbSimConfig::r3000()).with_scale(SCALE),
-        ),
-        (
-            "buffer",
-            SystemConfig::kernel_trace_buffer(Workload::MpegPlay, dm(4)).with_scale(SCALE),
-        ),
-    ]
+                .with_scale(SCALE)
+        })
+        .collect();
+    cfgs.push(SystemConfig::cache(Workload::Sdet, geoms[1].clone()).with_scale(SCALE));
+    cfgs.push(
+        SystemConfig::split(Workload::MpegPlay, geoms[0].clone(), geoms[2].clone())
+            .with_scale(SCALE),
+    );
+    cfgs
 }
 
 fn flatten(cells: &[tapeworm::sim::TrialSummary]) -> Vec<&TrialResult> {
     cells.iter().flat_map(|c| c.results()).collect()
 }
 
-/// Counters that legitimately differ between scheduled and stepwise
-/// servicing: the schedule bookkeeping itself and the victim memo,
-/// which the set-state tables bypass entirely.
-fn sched_bookkeeping(id: CounterId) -> bool {
+/// The walk's own tallies: zero on the stepwise loop by definition.
+fn walk_bookkeeping(id: CounterId) -> bool {
     matches!(
         id,
-        CounterId::SchedReplays
-            | CounterId::SchedRecords
-            | CounterId::SchedSigMisses
-            | CounterId::VictimMemoHits
+        CounterId::FastRuns | CounterId::FastWords | CounterId::MissBatchFlushes
     )
 }
 
-/// The acceptance bar: for every simulator mode, a sweep with the miss
-/// schedule enabled commits `TrialResult`s bit-identical to stepwise
-/// burst servicing, at 1, 4 and 8 worker threads. (Metrics are
-/// compared modulo the schedule bookkeeping, which legitimately
-/// differs.)
+/// One multi-config sweep through the walk commits `TrialResult`s
+/// bit-identical to the stepwise loop at 1, 4 and 8 worker threads,
+/// with matching per-cell counters (outside the walk's tallies) and
+/// phase accounts.
 #[test]
 fn miss_schedule_is_bit_identical_to_stepwise() {
-    for (label, cfg) in modes() {
-        let stepwise_cfgs = vec![cfg.clone().with_miss_schedule(false)];
-        let sched_cfgs = vec![cfg];
-        let stepwise = run_sweep(&stepwise_cfgs, 4, SeedSeq::new(1994), 1);
-        for threads in [1usize, 4, 8] {
-            let sched = run_sweep(&sched_cfgs, 4, SeedSeq::new(1994), threads);
-            assert_eq!(
-                flatten(&stepwise),
-                flatten(&sched),
-                "{label}: miss-schedule servicing diverged at threads={threads}"
-            );
-            let (sm, bm) = (&stepwise[0].metrics(), &sched[0].metrics());
+    let cfgs = configs();
+    let stepwise_cfgs: Vec<SystemConfig> =
+        cfgs.iter().map(|c| c.clone().with_fast_path(false)).collect();
+    let stepwise = run_sweep(&stepwise_cfgs, 3, SeedSeq::new(1994), 1);
+    for threads in [1usize, 4, 8] {
+        let walk = run_sweep(&cfgs, 3, SeedSeq::new(1994), threads);
+        assert_eq!(
+            flatten(&stepwise),
+            flatten(&walk),
+            "walk diverged from the stepwise loop at threads={threads}"
+        );
+        for (cell, (s, w)) in stepwise.iter().zip(&walk).enumerate() {
+            let (sm, wm) = (s.metrics(), w.metrics());
             for (id, sv) in sm.counters.iter() {
-                if sched_bookkeeping(id) {
+                if walk_bookkeeping(id) {
                     continue;
                 }
                 assert_eq!(
                     sv,
-                    bm.counters.get(id),
-                    "{label}: counter {id} diverged at threads={threads}"
+                    wm.counters.get(id),
+                    "cell {cell}: counter {id} diverged at threads={threads}"
                 );
             }
-            assert_eq!(sm.phases, bm.phases, "{label}: phase cycles diverged");
+            assert_eq!(sm.phases, wm.phases, "cell {cell}: phase cycles diverged");
         }
     }
 }
 
-/// Replayed bursts emit ring events with recomputed *virtual*
-/// timestamps (the cycle each trap would have been serviced at, had
-/// the engine stepped). The observable event streams must therefore
-/// match the stepwise run exactly — kind, cycle, thread and address.
+/// Recurring bursts re-entered around clock ticks are where replayed
+/// schedules had to recompute virtual timestamps; the walk stamps
+/// events from its pending lag instead. With a 2500-cycle clock (ticks
+/// inside miss runs) the event streams must match the stepwise run
+/// exactly — kind, cycle, thread, page and victim — for every config.
 #[test]
 fn miss_schedule_preserves_ring_event_timestamps() {
     let base = SeedSeq::new(1994);
     let trial = base.derive("sched", 0).derive("trial", 0);
-    for (label, cfg) in modes() {
-        let stepwise = cfg.clone().with_miss_schedule(false);
-        let (br, bmx) = run_trial_observed(&cfg, base, trial, ObsConfig::with_ring(4096));
-        let (sr, smx) = run_trial_observed(&stepwise, base, trial, ObsConfig::with_ring(4096));
-        assert_eq!(br, sr, "{label}: observed results diverged");
+    for (i, cfg) in configs().into_iter().enumerate() {
+        let mut walk = cfg;
+        walk.clock_period = 2500;
+        let stepwise = walk.clone().with_fast_path(false);
+        let obs = ObsConfig::with_ring(1 << 18);
+        let (wr, wm) = run_trial_observed(&walk, base, trial, obs);
+        let (sr, sm) = run_trial_observed(&stepwise, base, trial, obs);
+        let what = format!("config {i} ({:?})", walk.workload);
+        assert_eq!(wr, sr, "{what}: observed results diverged");
+        assert!(sr.clock_interrupts > 10, "{what}: too few ticks fired");
+        assert_eq!(sm.events_dropped, 0, "{what}: ring too small");
         assert_eq!(
-            bmx.events_recorded, smx.events_recorded,
-            "{label}: event counts diverged"
+            wm.events_recorded, sm.events_recorded,
+            "{what}: event counts diverged"
         );
-        assert_eq!(bmx.events, smx.events, "{label}: ring events diverged");
+        assert_eq!(wm.events, sm.events, "{what}: ring events diverged");
     }
 }
 
-/// The schedule engages where it is supposed to — the miss-rich
-/// gate-shaped config both records and replays schedules — and never
-/// engages when disabled via the config knob.
+/// The engine never engages the retired burst layers: the miss-schedule
+/// counters and the victim memo read 0 on every eligible geometry and
+/// in the TLB and trace-buffer modes, whichever loop runs.
 #[test]
 fn miss_schedule_engages_exactly_where_expected() {
-    let _guard = ENV_LOCK.lock().expect("env lock");
-    std::env::remove_var("TW_SCHED");
     let base = SeedSeq::new(1994);
     let trial = base.derive("sched", 0).derive("trial", 0);
-
-    let cfg = SystemConfig::cache(Workload::MpegPlay, dm(4))
-        .with_components(ComponentSet::user_only())
-        .with_scale(SCALE);
-    let (_, m) = run_trial_observed(&cfg, base, trial, ObsConfig::default());
-    assert!(
-        m.counters.get(CounterId::SchedRecords) > 0,
-        "miss-rich config never recorded a schedule"
+    let retired = [
+        CounterId::SchedReplays,
+        CounterId::SchedRecords,
+        CounterId::SchedSigMisses,
+        CounterId::VictimMemoHits,
+    ];
+    let mut cfgs = configs();
+    cfgs.push(SystemConfig::tlb(Workload::MpegPlay, TlbSimConfig::r3000()).with_scale(SCALE));
+    cfgs.push(
+        SystemConfig::kernel_trace_buffer(Workload::MpegPlay, eligible()[0].clone())
+            .with_scale(SCALE),
     );
-    assert!(
-        m.counters.get(CounterId::SchedReplays) > 0,
-        "miss-rich config never replayed a schedule"
-    );
-
-    let off = cfg.with_miss_schedule(false);
-    let (_, m) = run_trial_observed(&off, base, trial, ObsConfig::default());
-    assert_eq!(m.counters.get(CounterId::SchedRecords), 0, "disabled");
-    assert_eq!(m.counters.get(CounterId::SchedReplays), 0, "disabled");
-    assert_eq!(m.counters.get(CounterId::SchedSigMisses), 0, "disabled");
-}
-
-/// `TW_SCHED=0` is the no-recompile kill switch: it restores the
-/// pre-schedule engine (observable in the counters) without perturbing
-/// any result, mirroring `TW_FAST=0` and `TW_BATCH=0`.
-#[test]
-fn tw_sched_env_knob_restores_stepwise_servicing() {
-    let _guard = ENV_LOCK.lock().expect("env lock");
-    let base = SeedSeq::new(1994);
-    let trial = base.derive("sched", 0).derive("trial", 0);
-    let cfg = SystemConfig::cache(Workload::MpegPlay, dm(4))
-        .with_components(ComponentSet::user_only())
-        .with_scale(SCALE);
-
-    std::env::remove_var("TW_SCHED");
-    let (on_result, on_metrics) = run_trial_observed(&cfg, base, trial, ObsConfig::default());
-    assert!(on_metrics.counters.get(CounterId::SchedRecords) > 0);
-
-    std::env::set_var("TW_SCHED", "0");
-    let (off_result, off_metrics) = run_trial_observed(&cfg, base, trial, ObsConfig::default());
-    std::env::remove_var("TW_SCHED");
-
-    assert_eq!(off_metrics.counters.get(CounterId::SchedRecords), 0);
-    assert_eq!(off_metrics.counters.get(CounterId::SchedReplays), 0);
-    assert_eq!(on_result, off_result, "TW_SCHED=0 perturbed the result");
-    // Any value other than "0" leaves the schedule on.
-    std::env::set_var("TW_SCHED", "1");
-    let (_, again) = run_trial_observed(&cfg, base, trial, ObsConfig::default());
-    std::env::remove_var("TW_SCHED");
-    assert!(again.counters.get(CounterId::SchedRecords) > 0);
+    for (i, cfg) in cfgs.into_iter().enumerate() {
+        for fast in [true, false] {
+            let run = cfg.clone().with_fast_path(fast);
+            let (_, m) = run_trial_observed(&run, base, trial, ObsConfig::default());
+            for id in retired {
+                assert_eq!(m.counters.get(id), 0, "config {i} fast={fast}: {id} must read 0");
+            }
+        }
+    }
 }
