@@ -4,10 +4,14 @@
 #
 #   1. Formatting: `cargo fmt --check` over the whole workspace.
 #   2. Release build of the whole workspace.
-#   3. Full test suite (unit + doc + the cross-crate integration tests
-#      in tests/: paper_claims, full_system, exact_hardware,
-#      failure_injection, determinism, invariants).
+#   3. Full test suite (unit + doc + the 13 cross-crate integration
+#      test files in tests/: determinism, exact_hardware,
+#      failure_injection, fast_path, full_system, invariants,
+#      miss_batch, miss_schedule, paper_claims, planner, server_e2e,
+#      sparse_mem, trace_differential).
 #   4. Warnings are errors across the entire workspace, all targets.
+#   4a. Rustdoc warnings are errors too, so a removed or private item
+#      cannot leave a dangling intra-doc link behind.
 #   5. Gate run of the throughput harness: results/BENCH.json must
 #      exist, carry the keys downstream tooling reads, and its
 #      single-thread refs/sec must be within 15% of the checked-in
@@ -74,6 +78,9 @@ echo "=== tier 2: warnings-as-errors (workspace, all targets) ==="
 RUSTFLAGS="-D warnings" cargo check -q --workspace --all-targets
 RUSTFLAGS="-D warnings" cargo check -q -p tapeworm-bench --features microbench --all-targets
 RUSTFLAGS="-D warnings" cargo check -q -p tapeworm-core --features sched-fuzz --all-targets
+
+echo "=== tier 2: rustdoc warnings-as-errors (dangling intra-doc links) ==="
+RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps
 
 echo "=== tier 2: miss-schedule signature fuzz (dependency-free) ==="
 # SplitMix64-perturbed entry states must never replay a schedule

@@ -6,7 +6,7 @@
 //! accordingly; miss counts barely move (only through time dilation).
 
 use tapeworm_bench::{base_seed, dm4, scale};
-use tapeworm_sim::{run_trial, CostKind, SystemConfig};
+use tapeworm_sim::{CostKind, SystemConfig, TrialRunner};
 use tapeworm_stats::table::Table;
 use tapeworm_stats::SeedSeq;
 use tapeworm_workload::Workload;
@@ -35,7 +35,10 @@ fn main() {
     ] {
         let mut cfg = SystemConfig::cache(Workload::MpegPlay, dm4(4)).with_scale(scale);
         cfg.cost = kind;
-        let r = run_trial(&cfg, base, SeedSeq::new(13));
+        let r = TrialRunner::new()
+            .run(&cfg, base, SeedSeq::new(13))
+            .expect("feasible config")
+            .result;
         t.row(vec![
             label.to_string(),
             kind.model().cycles_per_miss(&dm4(4)).to_string(),

@@ -8,7 +8,7 @@
 //! clock-handler prefix loses relative to the total.
 
 use tapeworm_bench::{base_seed, dm4, scale};
-use tapeworm_sim::{run_trial, SystemConfig};
+use tapeworm_sim::{SystemConfig, TrialRunner};
 use tapeworm_stats::table::Table;
 use tapeworm_stats::SeedSeq;
 use tapeworm_workload::Workload;
@@ -29,7 +29,10 @@ fn main() {
     order.sort_by_key(|w| w.name());
     for w in order {
         let cfg = SystemConfig::cache(w, dm4(4)).with_scale(scale);
-        let r = run_trial(&cfg, base, SeedSeq::new(9));
+        let r = TrialRunner::new()
+            .run(&cfg, base, SeedSeq::new(9))
+            .expect("feasible config")
+            .result;
         let bias = 100.0 * r.masked_misses as f64 / r.total_misses().max(1.0);
         t.row(vec![
             w.to_string(),

@@ -8,7 +8,7 @@
 
 use tapeworm_bench::{base_seed, dm4, scale};
 use tapeworm_machine::Component;
-use tapeworm_sim::{run_trial, ComponentSet, SystemConfig};
+use tapeworm_sim::{ComponentSet, SystemConfig, TrialRunner};
 use tapeworm_stats::table::Table;
 use tapeworm_stats::SeedSeq;
 use tapeworm_workload::Workload;
@@ -46,7 +46,10 @@ fn main() {
             let cfg = SystemConfig::cache(w, dm4(4))
                 .with_components(set)
                 .with_scale(scale);
-            run_trial(&cfg, base, trial)
+            TrialRunner::new()
+                .run(&cfg, base, trial)
+                .expect("feasible config")
+                .result
         };
         let user = run(ComponentSet::user_only());
         let servers = run(ComponentSet::servers_only());
@@ -87,7 +90,10 @@ fn main() {
         let cfg = SystemConfig::cache(Workload::MpegPlay, dm4(kb))
             .with_components(ComponentSet::user_only())
             .with_scale(scale);
-        let r = run_trial(&cfg, base, trial);
+        let r = TrialRunner::new()
+            .run(&cfg, base, trial)
+            .expect("feasible config")
+            .result;
         let per_user = r.misses(Component::User) / (r.instructions as f64 * frac_user);
         t.row(vec![
             format!("{kb}K"),

@@ -11,7 +11,7 @@
 
 use tapeworm_bench::{base_seed, dm4, scale};
 use tapeworm_mem::WritePolicy;
-use tapeworm_sim::{run_trial, ComponentSet, SystemConfig};
+use tapeworm_sim::{ComponentSet, SystemConfig, TrialRunner};
 use tapeworm_stats::table::Table;
 use tapeworm_stats::SeedSeq;
 use tapeworm_workload::Workload;
@@ -44,7 +44,10 @@ fn main() {
                 .with_components(ComponentSet::user_only())
                 .with_scale(scale);
             cfg.write_policy = policy;
-            let r = run_trial(&cfg, base, trial);
+            let r = TrialRunner::new()
+                .run(&cfg, base, trial)
+                .expect("feasible config")
+                .result;
             t.row(vec![
                 format!("{dcache_kb}K"),
                 match policy {

@@ -9,7 +9,7 @@
 
 use tapeworm_bench::{base_seed, dm4, scale};
 use tapeworm_core::CacheConfig;
-use tapeworm_sim::{run_trial, ComponentSet, SystemConfig};
+use tapeworm_sim::{ComponentSet, SystemConfig, TrialRunner};
 use tapeworm_stats::table::Table;
 use tapeworm_stats::SeedSeq;
 use tapeworm_workload::Workload;
@@ -36,13 +36,16 @@ fn main() {
     ));
 
     // Single-level baseline for comparison.
-    let single = run_trial(
-        &SystemConfig::cache(Workload::MpegPlay, l1)
-            .with_components(ComponentSet::user_only())
-            .with_scale(scale),
-        base,
-        trial,
-    );
+    let single = TrialRunner::new()
+        .run(
+            &SystemConfig::cache(Workload::MpegPlay, l1)
+                .with_components(ComponentSet::user_only())
+                .with_scale(scale),
+            base,
+            trial,
+        )
+        .expect("feasible config")
+        .result;
     t.row(vec![
         "(none)".into(),
         format!("{:.0}", single.total_misses()),
@@ -56,7 +59,10 @@ fn main() {
         let cfg = SystemConfig::two_level(Workload::MpegPlay, l1, l2)
             .with_components(ComponentSet::user_only())
             .with_scale(scale);
-        let r = run_trial(&cfg, base, trial);
+        let r = TrialRunner::new()
+            .run(&cfg, base, trial)
+            .expect("feasible config")
+            .result;
         let l1_misses = r.total_misses();
         let l2_misses = r.total_l2_misses().expect("two-level run");
         t.row(vec![

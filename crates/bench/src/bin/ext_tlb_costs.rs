@@ -11,7 +11,7 @@ use tapeworm_bench::{base_seed, scale};
 use tapeworm_core::TlbSimConfig;
 use tapeworm_machine::Component;
 use tapeworm_mem::PageSize;
-use tapeworm_sim::{run_trial, SystemConfig};
+use tapeworm_sim::{SystemConfig, TrialRunner};
 use tapeworm_stats::table::Table;
 use tapeworm_stats::SeedSeq;
 use tapeworm_workload::Workload;
@@ -44,7 +44,10 @@ fn main() {
                 ..TlbSimConfig::r3000()
             };
             let cfg = SystemConfig::tlb(workload, tlb).with_scale(scale);
-            let r = run_trial(&cfg, base, trial);
+            let r = TrialRunner::new()
+                .run(&cfg, base, trial)
+                .expect("feasible config")
+                .result;
             t.row(vec![
                 entries.to_string(),
                 format!("{:.0}", r.misses(Component::User)),

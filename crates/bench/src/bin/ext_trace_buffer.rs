@@ -9,7 +9,7 @@
 
 use tapeworm_bench::{base_seed, dm4, scale};
 use tapeworm_machine::Component;
-use tapeworm_sim::{run_trial, SystemConfig};
+use tapeworm_sim::{SystemConfig, TrialRunner};
 use tapeworm_stats::table::Table;
 use tapeworm_stats::SeedSeq;
 use tapeworm_trace::Pixie;
@@ -44,11 +44,11 @@ fn main() {
     ]);
 
     // 2. Kernel trace buffer: complete but per-reference.
-    let buffer = run_trial(
-        &SystemConfig::kernel_trace_buffer(workload, cache).with_scale(scale),
-        base,
-        trial,
-    );
+    let cfg = SystemConfig::kernel_trace_buffer(workload, cache).with_scale(scale);
+    let buffer = TrialRunner::new()
+        .run(&cfg, base, trial)
+        .expect("feasible config")
+        .result;
     t.row(vec![
         "Kernel trace buffer [Mogul91]".into(),
         "all tasks + kernel".into(),
@@ -57,11 +57,11 @@ fn main() {
     ]);
 
     // 3. Tapeworm: complete and per-miss.
-    let tapeworm = run_trial(
-        &SystemConfig::cache(workload, cache).with_scale(scale),
-        base,
-        trial,
-    );
+    let cfg = SystemConfig::cache(workload, cache).with_scale(scale);
+    let tapeworm = TrialRunner::new()
+        .run(&cfg, base, trial)
+        .expect("feasible config")
+        .result;
     t.row(vec![
         "Tapeworm II (this paper)".into(),
         "all tasks + kernel".into(),

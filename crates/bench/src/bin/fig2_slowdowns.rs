@@ -18,7 +18,7 @@ use tapeworm_bench::{base_seed, dm4, scale, threads};
 use tapeworm_machine::Component;
 use tapeworm_obs::MetricsReport;
 use tapeworm_sim::compare::run_trace_driven;
-use tapeworm_sim::{run_trial_observed, ComponentSet, ObsConfig, SystemConfig};
+use tapeworm_sim::{ComponentSet, SystemConfig, TrialRunner};
 use tapeworm_stats::table::Table;
 use tapeworm_stats::trials::TrialScheduler;
 use tapeworm_stats::SeedSeq;
@@ -55,7 +55,10 @@ fn main() {
         let cfg = SystemConfig::cache(Workload::MpegPlay, cache)
             .with_components(ComponentSet::user_only())
             .with_scale(scale);
-        let (tw, metrics) = run_trial_observed(&cfg, base, trial, ObsConfig::default());
+        let run = TrialRunner::new()
+            .run(&cfg, base, trial)
+            .expect("feasible config");
+        let (tw, metrics) = (run.result, run.metrics);
         let tw_ratio = tw.misses(Component::User) / (tw.instructions as f64 * frac_user);
         let c2k = run_trace_driven(&cfg, cache, TracePolicy::Lru, base)
             .expect("mpeg_play is single-task");

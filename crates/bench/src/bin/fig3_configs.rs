@@ -7,7 +7,7 @@
 
 use tapeworm_bench::{base_seed, scale, threads};
 use tapeworm_core::CacheConfig;
-use tapeworm_sim::{run_trial, ComponentSet, SimModel, SystemConfig};
+use tapeworm_sim::{ComponentSet, SimModel, SystemConfig, TrialRunner};
 use tapeworm_stats::table::Table;
 use tapeworm_stats::trials::TrialScheduler;
 use tapeworm_stats::SeedSeq;
@@ -46,7 +46,11 @@ fn main() {
             .with_components(ComponentSet::user_only())
             .with_scale(scale())
             .with_sampling(den);
-        run_trial(&cfg, base_seed(), SeedSeq::new(3)).slowdown()
+        TrialRunner::new()
+            .run(&cfg, base_seed(), SeedSeq::new(3))
+            .expect("feasible config")
+            .result
+            .slowdown()
     });
 
     let panel = |title: &str, cols: &[&str], rows: &[u64], chunk: &[f64]| {

@@ -14,7 +14,7 @@ use std::path::Path;
 
 use tapeworm_bench::{base_seed, dm4, scale, threads};
 use tapeworm_obs::{MetricsReport, TrialMetrics};
-use tapeworm_sim::{run_trial_observed, ObsConfig, SystemConfig, TrialResult};
+use tapeworm_sim::{SystemConfig, TrialResult, TrialRunner};
 use tapeworm_stats::table::Table;
 use tapeworm_stats::trials::TrialScheduler;
 use tapeworm_stats::SeedSeq;
@@ -58,19 +58,20 @@ fn main() {
     }
 
     let results: Vec<(TrialResult, TrialMetrics)> =
-        TrialScheduler::new(threads()).run(cells.len(), |i| match cells[i] {
-            (None, k) => run_trial_observed(
-                &undilated_cfg,
-                base,
-                SeedSeq::new(40 + k),
-                ObsConfig::default(),
-            ),
-            (Some(den), k) => {
-                let cfg = SystemConfig::cache(Workload::MpegPlay, dm4(4))
-                    .with_scale(scale)
-                    .with_sampling(den);
-                run_trial_observed(&cfg, base, SeedSeq::new(100 + k), ObsConfig::default())
-            }
+        TrialScheduler::new(threads()).run(cells.len(), |i| {
+            let (cfg, trial) = match cells[i] {
+                (None, k) => (undilated_cfg.clone(), SeedSeq::new(40 + k)),
+                (Some(den), k) => (
+                    SystemConfig::cache(Workload::MpegPlay, dm4(4))
+                        .with_scale(scale)
+                        .with_sampling(den),
+                    SeedSeq::new(100 + k),
+                ),
+            };
+            let run = TrialRunner::new()
+                .run(&cfg, base, trial)
+                .expect("feasible config");
+            (run.result, run.metrics)
         });
 
     let baseline: f64 = results[..dilated_start]

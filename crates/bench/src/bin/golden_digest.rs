@@ -8,13 +8,13 @@
 //! Run after a *deliberate* behaviour-changing commit to regenerate
 //! the pinned digests; the output lines paste directly into the tests.
 
+use std::num::NonZeroU64;
+
 use tapeworm_core::{CacheConfig, TlbSimConfig};
 use tapeworm_server::{
     digest_outcomes, BackendOptions, InProcessBackend, SweepPlan, WorkerBackend,
 };
-use tapeworm_sim::{
-    run_trial, run_trial_windowed, ComponentSet, SystemConfig, TrialResult, WindowSample,
-};
+use tapeworm_sim::{ComponentSet, SystemConfig, TrialResult, TrialRunner, WindowSample};
 use tapeworm_stats::SeedSeq;
 use tapeworm_workload::Workload;
 
@@ -76,12 +76,21 @@ fn main() {
         ),
     ];
     for (label, cfg) in &cases {
-        let r = run_trial(cfg, base, trial(label));
+        let r = TrialRunner::new()
+            .run(cfg, base, trial(label))
+            .expect("feasible config")
+            .result;
         println!("(\"{label}\", {:#018x}),", digest(&r, &[]));
     }
     let cfg = SystemConfig::cache(Workload::MpegPlay, dm(4)).with_scale(SCALE);
-    let (r, w) = run_trial_windowed(&cfg, base, trial("windowed"), 10_000);
-    println!("(\"windowed\", {:#018x}),", digest(&r, &w));
+    let run = TrialRunner::new()
+        .window(NonZeroU64::new(10_000).expect("positive window"))
+        .run(&cfg, base, trial("windowed"))
+        .expect("feasible config");
+    println!(
+        "(\"windowed\", {:#018x}),",
+        digest(&run.result, &run.windows)
+    );
 
     // The sweep service's golden digest: specs/ci_smoke.toml through
     // the in-process backend (every backend is pinned to match it).

@@ -9,9 +9,9 @@
 
 use tapeworm_bench::{base_seed, dm4, paper_millions, scale, threads};
 use tapeworm_sim::kessler::{collision_probability, expected_colliding_pairs};
-use tapeworm_sim::{run_trial, ComponentSet, SystemConfig};
+use tapeworm_sim::{ComponentSet, SystemConfig, TrialRunner};
 use tapeworm_stats::table::Table;
-use tapeworm_stats::trials::run_trials_parallel;
+use tapeworm_stats::trials::TrialScheduler;
 use tapeworm_workload::Workload;
 
 const TRIALS: usize = 6;
@@ -44,10 +44,15 @@ fn main() {
         let cfg = SystemConfig::cache(Workload::MpegPlay, dm4(kb))
             .with_components(ComponentSet::user_only())
             .with_scale(scale);
-        let set = run_trials_parallel(base.derive("kessler", kb), TRIALS, threads(), |trial| {
-            run_trial(&cfg, base, trial).total_misses()
-        })
-        .expect("TRIALS > 0");
+        let set = TrialScheduler::new(threads())
+            .run_trials(base.derive("kessler", kb), TRIALS, |trial| {
+                TrialRunner::new()
+                    .run(&cfg, base, trial)
+                    .expect("feasible config")
+                    .result
+                    .total_misses()
+            })
+            .expect("TRIALS > 0");
         let s = set.summary();
         t.row(vec![
             format!("{kb}K"),

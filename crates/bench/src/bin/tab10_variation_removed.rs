@@ -7,9 +7,9 @@
 
 use tapeworm_bench::{base_seed, paper_millions, scale, threads};
 use tapeworm_core::{CacheConfig, Indexing};
-use tapeworm_sim::{run_trial, SystemConfig};
+use tapeworm_sim::{SystemConfig, TrialRunner};
 use tapeworm_stats::table::Table;
-use tapeworm_stats::trials::run_trials_parallel;
+use tapeworm_stats::trials::TrialScheduler;
 use tapeworm_workload::Workload;
 
 const TRIALS: usize = 16;
@@ -42,10 +42,15 @@ fn main() {
     order.sort_by_key(|w| w.name());
     for w in order {
         let cfg = SystemConfig::cache(w, cache).with_scale(scale);
-        let set = run_trials_parallel(base.derive("tab10", w as u64), TRIALS, threads(), |trial| {
-            run_trial(&cfg, base, trial).total_misses()
-        })
-        .expect("TRIALS > 0");
+        let set = TrialScheduler::new(threads())
+            .run_trials(base.derive("tab10", w as u64), TRIALS, |trial| {
+                TrialRunner::new()
+                    .run(&cfg, base, trial)
+                    .expect("feasible config")
+                    .result
+                    .total_misses()
+            })
+            .expect("TRIALS > 0");
         let s = set.summary();
         t.row(vec![
             w.to_string(),

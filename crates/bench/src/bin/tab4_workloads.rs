@@ -5,7 +5,7 @@
 
 use tapeworm_bench::{base_seed, dm4, scale};
 use tapeworm_machine::Component;
-use tapeworm_sim::{run_trial, ComponentSet, SystemConfig};
+use tapeworm_sim::{ComponentSet, SystemConfig, TrialRunner};
 use tapeworm_stats::table::Table;
 use tapeworm_stats::SeedSeq;
 use tapeworm_workload::Workload;
@@ -38,7 +38,10 @@ fn main() {
         let cfg = SystemConfig::cache(w, dm4(4))
             .with_components(ComponentSet::empty())
             .with_scale(scale);
-        let r = run_trial(&cfg, base, SeedSeq::new(4));
+        let r = TrialRunner::new()
+            .run(&cfg, base, SeedSeq::new(4))
+            .expect("feasible config")
+            .result;
         let instr_paper_scale = r.instructions as f64 * scale as f64 / 1.0e6;
         // Component fractions from the engine's Monster are implicit in
         // the configured weights; re-derive from the spec for display

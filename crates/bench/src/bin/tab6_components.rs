@@ -9,7 +9,7 @@
 
 use tapeworm_bench::{base_seed, dm4, paper_millions, scale};
 use tapeworm_sim::compare::run_trace_driven;
-use tapeworm_sim::{run_trial, ComponentSet, SystemConfig, TrialResult};
+use tapeworm_sim::{ComponentSet, SystemConfig, TrialResult, TrialRunner};
 use tapeworm_stats::table::Table;
 use tapeworm_stats::SeedSeq;
 use tapeworm_trace::TracePolicy;
@@ -46,7 +46,10 @@ fn main() {
             let cfg = SystemConfig::cache(w, cache)
                 .with_components(set)
                 .with_scale(scale);
-            run_trial(&cfg, base, trial)
+            TrialRunner::new()
+                .run(&cfg, base, trial)
+                .expect("feasible config")
+                .result
         };
         let user = run(ComponentSet::user_only());
         let servers = run(ComponentSet::servers_only());

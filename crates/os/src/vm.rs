@@ -13,10 +13,10 @@
 //! Translation sits on the hit path of every simulated reference, so
 //! page tables are flat and index-addressed rather than hashed:
 //!
-//! * Each task owns a [`PageTable`]: a dense `Vec` of PTEs indexed by
+//! * Each task owns a `PageTable`: a dense `Vec` of PTEs indexed by
 //!   VPN offset from the table's base, plus a small sorted overflow
 //!   list for mappings too far away to widen the dense window over
-//!   (bounded by [`MAX_DENSE_SPAN`]). Real tasks touch one compact
+//!   (bounded by `MAX_DENSE_SPAN`). Real tasks touch one compact
 //!   text+data range, so in practice every lookup is one bounds check
 //!   and one array load.
 //! * A direct-mapped software translation cache

@@ -36,7 +36,7 @@ pub struct TraceRunResult {
 
 /// Runs Pixie + Cache2000 for a workload's user task on the given
 /// cache geometry, matching a [`SystemConfig`]'s scale and CPI so the
-/// slowdowns are comparable with [`run_trial`](crate::run_trial).
+/// slowdowns are comparable with a [`TrialRunner`](crate::TrialRunner) trial's.
 ///
 /// The trace-driven cache uses FIFO replacement to match the
 /// trap-driven simulator exactly (for validation); pass

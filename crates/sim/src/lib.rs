@@ -10,10 +10,11 @@
 //!   measured component set (user / servers / kernel / all — the
 //!   Table 6 axes), set sampling, frame-allocation policy, cost model
 //!   and the dilation/interrupt parameters.
-//! * [`run_trial`] executes one trial and returns a [`TrialResult`]
-//!   with per-component miss counts, instruction/cycle accounting and
-//!   the paper's *Slowdown* metric (overhead ÷ uninstrumented run
-//!   time).
+//! * [`TrialRunner`] executes one trial and returns a [`TrialRun`]:
+//!   a [`TrialResult`] with per-component miss counts,
+//!   instruction/cycle accounting and the paper's *Slowdown* metric
+//!   (overhead ÷ uninstrumented run time), plus the trial's
+//!   [`TrialMetrics`] and optional monitoring windows.
 //! * [`compare`] runs the Pixie + Cache2000 trace-driven pipeline over
 //!   the same deterministic user stream for the Figure 2 speed
 //!   comparison and the Table 6 "From Traces" validation column.
@@ -70,10 +71,6 @@ pub use sweep::{
     fold_outcomes, run_sweep, run_sweep_cell, run_sweep_resilient, run_sweep_resilient_observed,
     FailedTrial, SweepOptions, SweepOutcome, TrialSummary,
 };
-pub use system::{
-    run_trial, run_trial_observed, run_trial_windowed, try_run_trial, try_run_trial_observed,
-    try_run_trial_observed_reusing, try_run_trial_windowed, ObsConfig, TrialError, TrialScratch,
-    WindowSample,
-};
+pub use system::{ObsConfig, TrialError, TrialRun, TrialRunner, WindowSample};
 pub use tapeworm_obs::TrialMetrics;
 pub use tapeworm_stats::trials::{FailureKind, FaultStats, RetryPolicy, TrialFailure};

@@ -49,10 +49,12 @@
 //! planner)`; the thread-count knob only affects [`PlanMode::Full`]
 //! (which is thread-count invariant anyway).
 
+use std::sync::{Mutex, PoisonError};
+
 use tapeworm_core::Indexing;
 use tapeworm_obs::{CounterId, Counters};
 use tapeworm_stats::ci::{mean_ci, MeanCi};
-use tapeworm_stats::trials::{FailureKind, FaultStats, TrialFailure};
+use tapeworm_stats::trials::{FaultStats, TrialScheduler};
 use tapeworm_stats::{OnlineStats, SeedSeq};
 
 use crate::checkpoint::{sweep_fingerprint, TrialOutcome};
@@ -62,7 +64,7 @@ use crate::sweep::{
     fold_outcomes, run_cell_reusing, run_sweep_resilient_observed, FailedTrial, SweepOptions,
     TrialSummary,
 };
-use crate::system::TrialScratch;
+use crate::system::TrialRunner;
 
 /// Environment kill switch: `0`/`full` forces [`PlanMode::Full`],
 /// `1`/`pruned` forces [`PlanMode::Pruned`]; anything else is ignored.
@@ -548,8 +550,12 @@ fn run_pruned(
     let mut failed: Vec<FailedTrial> = Vec::new();
     let mut stats = FaultStats::default();
     let mut counters = Counters::new();
-    let mut scratch = TrialScratch::new();
-    // Pass 1: simulate the planned cells, adaptively.
+    // Pass 1: simulate the planned cells, adaptively, a batch at a time
+    // through the scheduler's serial loop (its retry policy and fault
+    // accounting). The jobs run on this thread; the mutex only lends
+    // them one runner, so its scratch is reused across every batch.
+    let scheduler = TrialScheduler::serial();
+    let runner = Mutex::new(TrialRunner::new().observe(options.obs));
     let mut simulated: Vec<Option<PlannedCell>> = vec![None; configs.len()];
     for (c, decision) in decisions.iter().enumerate() {
         if *decision != Decision::Simulate {
@@ -560,36 +566,45 @@ fn run_pruned(
         let mut early_stop: Option<MeanCi> = None;
         let mut t = 0;
         while t < trials {
-            let index = c * trials + t;
-            let outcome = run_trial_with_retry(
-                configs,
-                trials,
-                base,
-                index,
-                options,
-                &mut scratch,
-                &mut stats,
-            );
-            stats.trials_computed += 1;
-            match &outcome {
-                Ok((result, _)) => miss_acc.push(result.total_misses()),
-                Err(failure) => {
-                    stats.failed_trials += 1;
-                    failed.push(FailedTrial {
-                        config: c,
-                        trial: t,
-                        failure: failure.clone(),
-                    });
-                }
+            // CI checks fall after `min_trials` and then every `batch`.
+            let end = if t < planner.min_trials {
+                planner.min_trials
+            } else {
+                t + planner.batch.max(1)
             }
-            outcomes.push((index, outcome.clone()));
-            cell_outcomes.push(outcome);
-            t += 1;
-            if planner.ci_bound > 0.0
-                && t < trials
-                && t >= planner.min_trials
-                && (t - planner.min_trials) % planner.batch.max(1) == 0
-            {
+            .min(trials);
+            let first = c * trials + t;
+            let batch_stats = scheduler.run_committed_resilient_stateful(
+                end - t,
+                options.retry,
+                || (),
+                |(), k, _attempt| {
+                    // A trial that panicked left the runner valid: its
+                    // engine took the scratch and dropped it unwinding,
+                    // so the next trial just allocates afresh.
+                    let mut runner = runner.lock().unwrap_or_else(PoisonError::into_inner);
+                    run_cell_reusing(configs, trials, base, first + k, &mut runner)
+                },
+                |k, outcome| {
+                    let outcome = outcome.map_err(|mut failure| {
+                        failure.index = first + k; // scheduler indices are local
+                        failure
+                    });
+                    match &outcome {
+                        Ok((result, _)) => miss_acc.push(result.total_misses()),
+                        Err(failure) => failed.push(FailedTrial {
+                            config: c,
+                            trial: t + k,
+                            failure: failure.clone(),
+                        }),
+                    }
+                    outcomes.push((first + k, outcome.clone()));
+                    cell_outcomes.push(outcome);
+                },
+            );
+            stats.merge(&batch_stats);
+            t = end;
+            if planner.ci_bound > 0.0 && t < trials {
                 if let Some(ci) = mean_ci(&miss_acc, planner.confidence) {
                     if ci.relative_half_width() <= planner.ci_bound {
                         early_stop = Some(ci);
@@ -644,43 +659,6 @@ fn run_pruned(
         failed,
         stats,
         counters,
-    }
-}
-
-/// One trial with the retry policy applied in place — the same typed
-/// retry accounting the scheduler keeps, minus panic containment
-/// (pruned planning runs in the caller's thread).
-fn run_trial_with_retry(
-    configs: &[SystemConfig],
-    trials: usize,
-    base: SeedSeq,
-    index: usize,
-    options: &SweepOptions,
-    scratch: &mut TrialScratch,
-    stats: &mut FaultStats,
-) -> TrialOutcome {
-    let mut attempt: u32 = 0;
-    let mut backoff: u64 = 0;
-    loop {
-        match run_cell_reusing(configs, trials, base, index, options.obs, scratch) {
-            Ok(v) => return Ok(v),
-            Err(message) => {
-                stats.typed_failures += 1;
-                attempt += 1;
-                if attempt >= options.retry.max_attempts.max(1) {
-                    return Err(TrialFailure {
-                        index,
-                        attempts: attempt,
-                        backoff_units: backoff,
-                        kind: FailureKind::Error(message),
-                    });
-                }
-                stats.retries += 1;
-                let units = options.retry.backoff_for(attempt - 1);
-                stats.backoff_units += units;
-                backoff += units;
-            }
-        }
     }
 }
 

@@ -43,7 +43,7 @@ use crate::checkpoint::{self, CheckpointConfig, StoredOutcome, TrialOutcome};
 use crate::config::SystemConfig;
 use crate::fault::FaultPlan;
 use crate::result::TrialResult;
-use crate::system::{try_run_trial_observed_reusing, ObsConfig, TrialScratch};
+use crate::system::{ObsConfig, TrialRunner};
 
 /// Per-configuration outcome of a sweep: the raw trial results in trial
 /// order plus ready-made summaries of the two headline metrics.
@@ -342,21 +342,23 @@ impl<'a> Fold<'a> {
 }
 
 /// Runs one `(config, trial)` cell of a sweep exactly as the resilient
-/// engine would, reusing the caller's scratch. Shared with the planner
-/// (`crate::planner`), whose simulated cells must be bit-identical to
-/// the cells a full sweep commits.
+/// engine would, on the caller's runner (and so its scratch and
+/// observability options). Shared with the planner (`crate::planner`),
+/// whose simulated cells must be bit-identical to the cells a full
+/// sweep commits.
 pub(crate) fn run_cell_reusing(
     configs: &[SystemConfig],
     trials: usize,
     base: SeedSeq,
     index: usize,
-    obs: ObsConfig,
-    scratch: &mut TrialScratch,
+    runner: &mut TrialRunner,
 ) -> Result<(TrialResult, TrialMetrics), String> {
     let c = index / trials;
     let t = (index % trials) as u64;
     let trial = base.derive("sweep-config", c as u64).derive("trial", t);
-    try_run_trial_observed_reusing(&configs[c], base, trial, obs, scratch)
+    runner
+        .run(&configs[c], base, trial)
+        .map(|run| (run.result, run.metrics))
         .map_err(|e| e.to_string())
 }
 
@@ -383,8 +385,8 @@ pub fn run_sweep_cell(
 ) -> Result<(TrialResult, TrialMetrics), String> {
     assert!(trials > 0, "a sweep needs at least one trial per config");
     assert!(index < configs.len() * trials, "cell index out of range");
-    let mut scratch = TrialScratch::new();
-    run_cell_reusing(configs, trials, base, index, obs, &mut scratch)
+    let mut runner = TrialRunner::new().observe(obs);
+    run_cell_reusing(configs, trials, base, index, &mut runner)
 }
 
 /// Folds per-trial outcomes (index order `0..n`) into per-configuration
@@ -499,13 +501,13 @@ pub fn run_sweep_resilient_observed(
     let stats = scheduler.run_committed_resilient_stateful(
         limit - offset,
         options.retry,
-        // Per-worker scratch: page tables, trap bitmaps and reference
+        // Per-worker runner: page tables, trap bitmaps and reference
         // buffers survive from one trial to the next instead of being
         // reallocated per cell. Reuse is bit-identical by construction
-        // (pinned by the fast-path differential tests), so the committed
-        // sweep output is unchanged.
-        TrialScratch::new,
-        |scratch, k, attempt| {
+        // (pinned by the runner-reuse tests), so the committed sweep
+        // output is unchanged.
+        || TrialRunner::new().observe(options.obs),
+        |runner, k, attempt| {
             let i = k + offset;
             if options.faults.should_panic(i, attempt) {
                 panic!("injected fault: panic on trial {i} attempt {attempt}");
@@ -516,7 +518,7 @@ pub fn run_sweep_resilient_observed(
                      instruction budget exhausted by the watchdog"
                 ));
             }
-            run_cell_reusing(configs, trials, base, i, options.obs, scratch)
+            run_cell_reusing(configs, trials, base, i, runner)
         },
         |k, outcome| {
             let index = k + offset;

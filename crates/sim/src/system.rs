@@ -1,6 +1,6 @@
 //! The full-system trial engine.
 //!
-//! One [`run_trial`] boots the simulated machine and OS, starts the
+//! One [`TrialRunner::run`] boots the simulated machine and OS, starts the
 //! workload's task tree, and interleaves the kernel, server and user
 //! reference streams in the Table 4 proportions until each component's
 //! instruction budget is spent. Every reference goes through the VM
@@ -12,6 +12,7 @@
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
+use std::num::NonZeroU64;
 
 use tapeworm_core::{SetSample, Tapeworm, TlbSim, TwoLevelTapeworm};
 use tapeworm_machine::{AccessKind, Component, FetchOutcome, Machine, MachineConfig, Monster};
@@ -66,91 +67,108 @@ impl Error for TrialError {
     }
 }
 
-/// Runs one trial of an experiment.
+/// The one trial entry point: boots the simulated machine and OS for a
+/// [`SystemConfig`], runs it to completion and returns a [`TrialRun`].
 ///
 /// * `base` seeds everything that must stay fixed across trials
 ///   (reference streams, simulated-cache RNG).
 /// * `trial` seeds the run-to-run system effects (physical frame
 ///   allocation, set-sample choice).
 ///
-/// # Panics
+/// Counters and the per-phase cycle account are always collected; the
+/// trap-event ring ([`observe`](Self::observe)) and continuous-monitoring
+/// windows ([`window`](Self::window)) are opt-in. Neither perturbs the
+/// simulation: [`TrialRun::result`] is bit-identical with them on or off.
 ///
-/// Panics if the configuration is infeasible (e.g. so few frames that
-/// the workload cannot be mapped) — see [`try_run_trial`] for the
-/// non-panicking form.
-pub fn run_trial(cfg: &SystemConfig, base: SeedSeq, trial: SeedSeq) -> TrialResult {
-    match try_run_trial(cfg, base, trial) {
-        Ok(result) => result,
-        Err(e) => panic!("{e}"),
+/// A runner owns its engine scratch — trap bitmap and frame counts,
+/// page tables, translation cache, data-reference buffer — and salvages
+/// it after every trial, so a worker that reuses one runner allocates
+/// those buffers once instead of once per trial. Reuse is
+/// bit-identical: every buffer is reset to boot state (pinned by
+/// tests), also after a trial that failed. Not shared between threads:
+/// each worker owns one.
+#[derive(Debug, Default)]
+pub struct TrialRunner {
+    obs: ObsConfig,
+    window: Option<NonZeroU64>,
+    scratch: TrialScratch,
+}
+
+/// Everything one trial produced.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TrialRun {
+    /// The simulated measurement: miss counts, cycle accounting,
+    /// slowdown.
+    pub result: TrialResult,
+    /// The layered counter registry, the per-phase cycle account and
+    /// the drained trap-event ring (empty unless
+    /// [`TrialRunner::observe`] enabled it).
+    pub metrics: TrialMetrics,
+    /// Continuous-monitoring samples (empty unless
+    /// [`TrialRunner::window`] enabled them).
+    pub windows: Vec<WindowSample>,
+}
+
+impl TrialRunner {
+    /// A runner with the ring and windows off and an empty scratch;
+    /// the first trial populates the scratch.
+    pub fn new() -> Self {
+        TrialRunner::default()
+    }
+
+    /// Records up to `obs.ring_capacity` trap events per trial.
+    pub fn observe(mut self, obs: ObsConfig) -> Self {
+        self.obs = obs;
+        self
+    }
+
+    /// Samples the raw miss count every `instructions` executed
+    /// instructions — the paper's continuous-monitoring mode, feasible
+    /// precisely because Tapeworm's slowdowns "can be made
+    /// imperceptible to the user".
+    pub fn window(mut self, instructions: NonZeroU64) -> Self {
+        self.window = Some(instructions);
+        self
+    }
+
+    /// Runs one trial.
+    ///
+    /// # Errors
+    ///
+    /// [`TrialError::OutOfFrames`] when the workload's footprint exceeds
+    /// `SystemConfig::frames`.
+    pub fn run(
+        &mut self,
+        cfg: &SystemConfig,
+        base: SeedSeq,
+        trial: SeedSeq,
+    ) -> Result<TrialRun, TrialError> {
+        // An engine that fails to boot (OutOfFrames during text pre-map)
+        // consumes the scratch; the next trial simply reallocates. That
+        // path is cold and already aborting the trial.
+        let mut engine = Engine::new(cfg, base, trial, &mut self.scratch)?;
+        engine.ring = TrapRing::new(self.obs.ring_capacity);
+        engine.window = self.window.map(|period| Windows {
+            period: period.get(),
+            samples: Vec::new(),
+            closed_misses: 0,
+        });
+        let out = engine.run_collect();
+        engine.recycle(&mut self.scratch);
+        out
     }
 }
 
-/// Like [`run_trial`], but surfaces infeasible configurations as a
-/// typed [`TrialError`] instead of panicking.
-///
-/// # Errors
-///
-/// [`TrialError::OutOfFrames`] when the workload's footprint exceeds
-/// `SystemConfig::frames`.
-pub fn try_run_trial(
-    cfg: &SystemConfig,
-    base: SeedSeq,
-    trial: SeedSeq,
-) -> Result<TrialResult, TrialError> {
-    let mut scratch = TrialScratch::new();
-    Ok(run_trial_core(cfg, base, trial, 0, None, &mut scratch)?.0)
-}
-
-/// Persistent per-worker scratch: the heap allocations of one trial's
-/// engine (trap bitmap and frame counts, page tables, translation
-/// cache, data-reference buffer), salvaged when the trial finishes and
-/// reused by the next one. A sweep worker that runs hundreds of trials
-/// builds these buffers once instead of once per trial — the
-/// thread-scaling fix — while the simulation itself stays bit-identical
-/// (every buffer is reset to boot state on reuse, pinned by tests).
-///
-/// Not shared between threads: each worker owns one.
+/// Persistent engine scratch, salvaged when a trial finishes and reused
+/// by the runner's next one (see [`TrialRunner`]).
 #[derive(Debug, Default)]
-pub struct TrialScratch {
+struct TrialScratch {
     machine: Option<tapeworm_machine::MachineScratch>,
     vm: Option<tapeworm_os::VmScratch>,
     data: Vec<DataRef>,
 }
 
-impl TrialScratch {
-    /// An empty scratch; the first trial populates it.
-    pub fn new() -> Self {
-        TrialScratch::default()
-    }
-}
-
-/// Runs one trial with every optional collector threaded through, and
-/// recycles the engine's allocations back into `scratch` on the way
-/// out. All public trial entry points funnel here.
-fn run_trial_core(
-    cfg: &SystemConfig,
-    base: SeedSeq,
-    trial: SeedSeq,
-    ring_capacity: usize,
-    window_instructions: Option<u64>,
-    scratch: &mut TrialScratch,
-) -> Result<(TrialResult, Vec<WindowSample>, TrialMetrics), TrialError> {
-    // An engine that fails to boot (OutOfFrames during text pre-map)
-    // consumes the scratch; the next trial simply reallocates. That
-    // path is cold and already aborting the trial.
-    let mut engine = Engine::new(cfg, base, trial, scratch)?;
-    if ring_capacity > 0 {
-        engine.ring = TrapRing::new(ring_capacity);
-    }
-    if let Some(period) = window_instructions {
-        engine.window = Some((period, Vec::new()));
-    }
-    let out = engine.run_collect();
-    engine.recycle(scratch);
-    out
-}
-
-/// Observability options for [`run_trial_observed`].
+/// Observability options for [`TrialRunner::observe`].
 ///
 /// Counter and phase-cycle collection is always on (the underlying
 /// counters are plain branch-free integer increments); this only
@@ -173,66 +191,6 @@ impl ObsConfig {
     }
 }
 
-/// Like [`run_trial`], additionally returning the trial's
-/// [`TrialMetrics`]: the layered counter registry, the per-phase cycle
-/// account, and (when `obs.ring_capacity > 0`) the drained trap-event
-/// ring.
-///
-/// The [`TrialResult`] is bit-identical to [`run_trial`]'s — metrics
-/// collection never perturbs the simulation.
-///
-/// # Panics
-///
-/// Panics if the configuration is infeasible — see
-/// [`try_run_trial_observed`] for the non-panicking form.
-pub fn run_trial_observed(
-    cfg: &SystemConfig,
-    base: SeedSeq,
-    trial: SeedSeq,
-    obs: ObsConfig,
-) -> (TrialResult, TrialMetrics) {
-    match try_run_trial_observed(cfg, base, trial, obs) {
-        Ok(out) => out,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Like [`run_trial_observed`], but surfaces infeasible configurations
-/// as a typed [`TrialError`] instead of panicking.
-///
-/// # Errors
-///
-/// [`TrialError::OutOfFrames`] when the workload's footprint exceeds
-/// `SystemConfig::frames`.
-pub fn try_run_trial_observed(
-    cfg: &SystemConfig,
-    base: SeedSeq,
-    trial: SeedSeq,
-    obs: ObsConfig,
-) -> Result<(TrialResult, TrialMetrics), TrialError> {
-    let mut scratch = TrialScratch::new();
-    try_run_trial_observed_reusing(cfg, base, trial, obs, &mut scratch)
-}
-
-/// Like [`try_run_trial_observed`], but reuses (and refills) a
-/// persistent [`TrialScratch`], so a worker running many trials
-/// allocates its engine buffers once. Results and metrics are
-/// bit-identical to the non-reusing form.
-///
-/// # Errors
-///
-/// [`TrialError::OutOfFrames`] when the workload's footprint exceeds
-/// `SystemConfig::frames`.
-pub fn try_run_trial_observed_reusing(
-    cfg: &SystemConfig,
-    base: SeedSeq,
-    trial: SeedSeq,
-    obs: ObsConfig,
-    scratch: &mut TrialScratch,
-) -> Result<(TrialResult, TrialMetrics), TrialError> {
-    run_trial_core(cfg, base, trial, obs.ring_capacity, None, scratch).map(|(r, _, m)| (r, m))
-}
-
 /// One continuous-monitoring window (§5: "the use of continuous
 /// monitoring and simulation opens up the possibility of using these
 /// results to perform real-time hardware and software tuning").
@@ -245,59 +203,26 @@ pub struct WindowSample {
 }
 
 impl WindowSample {
-    /// Window miss ratio given the window length in instructions.
-    pub fn miss_ratio(&self, window_instructions: u64) -> f64 {
-        if window_instructions == 0 {
-            0.0
-        } else {
-            self.misses as f64 / window_instructions as f64
-        }
+    /// Each window's miss ratio over the instructions it actually
+    /// spans: its end minus the previous window's end (the first
+    /// window starts at 0). A window closes at the first quantum
+    /// boundary past its nominal period, so the span is not the period.
+    /// An empty span (it saw no misses either) reads `0.0`.
+    pub fn miss_ratios(windows: &[WindowSample]) -> impl Iterator<Item = f64> + '_ {
+        windows.iter().scan(0, |previous_end, w| {
+            let span = w.end_instructions - std::mem::replace(previous_end, w.end_instructions);
+            Some(w.misses as f64 / span.max(1) as f64)
+        })
     }
 }
 
-/// Like [`run_trial`], additionally sampling the raw miss count every
-/// `window_instructions` executed instructions — the paper's
-/// continuous-monitoring mode, feasible precisely because Tapeworm's
-/// slowdowns "can be made imperceptible to the user".
-///
-/// # Panics
-///
-/// Panics if `window_instructions == 0` or the configuration is
-/// infeasible — see [`try_run_trial_windowed`] for the non-panicking
-/// form.
-pub fn run_trial_windowed(
-    cfg: &SystemConfig,
-    base: SeedSeq,
-    trial: SeedSeq,
-    window_instructions: u64,
-) -> (TrialResult, Vec<WindowSample>) {
-    match try_run_trial_windowed(cfg, base, trial, window_instructions) {
-        Ok(out) => out,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Like [`run_trial_windowed`], but surfaces infeasible configurations
-/// as a typed [`TrialError`] instead of panicking.
-///
-/// # Errors
-///
-/// [`TrialError::OutOfFrames`] when the workload's footprint exceeds
-/// `SystemConfig::frames`.
-///
-/// # Panics
-///
-/// Panics if `window_instructions == 0`.
-pub fn try_run_trial_windowed(
-    cfg: &SystemConfig,
-    base: SeedSeq,
-    trial: SeedSeq,
-    window_instructions: u64,
-) -> Result<(TrialResult, Vec<WindowSample>), TrialError> {
-    assert!(window_instructions > 0, "window must be positive");
-    let mut scratch = TrialScratch::new();
-    run_trial_core(cfg, base, trial, 0, Some(window_instructions), &mut scratch)
-        .map(|(r, w, _)| (r, w))
+/// Continuous-monitoring state of one engine: the window period, the
+/// samples closed so far and their running miss total.
+#[derive(Debug)]
+struct Windows {
+    period: u64,
+    samples: Vec<WindowSample>,
+    closed_misses: u64,
 }
 
 enum Sim {
@@ -376,9 +301,8 @@ struct Engine<'c> {
     /// Reusable buffer for one quantum's data references — the hot
     /// loop never allocates.
     data_scratch: Vec<DataRef>,
-    /// Continuous-monitoring state: window length and collected
-    /// samples.
-    window: Option<(u64, Vec<crate::system::WindowSample>)>,
+    /// Continuous-monitoring state (`None` = windows off).
+    window: Option<Windows>,
     /// Bounded trap-event ring (capacity 0 = disabled, the default).
     ring: TrapRing,
     /// Scheduler quanta dispatched by the round-robin loop.
@@ -1229,14 +1153,14 @@ impl<'c> Engine<'c> {
     fn sample_windows(&mut self) {
         let misses_now = self.current_raw_misses();
         let instr_now = self.monster.total_instructions();
-        if let Some((period, samples)) = &mut self.window {
-            let boundary = (samples.len() as u64 + 1) * *period;
+        if let Some(w) = &mut self.window {
+            let boundary = (w.samples.len() as u64 + 1) * w.period;
             if instr_now >= boundary {
-                let prev: u64 = samples.iter().map(|s| s.misses).sum();
-                samples.push(crate::system::WindowSample {
+                w.samples.push(WindowSample {
                     end_instructions: instr_now,
-                    misses: misses_now - prev,
+                    misses: misses_now - w.closed_misses,
                 });
+                w.closed_misses = misses_now;
             }
         }
     }
@@ -1302,9 +1226,7 @@ impl<'c> Engine<'c> {
         }
     }
 
-    fn run_collect(
-        &mut self,
-    ) -> Result<(TrialResult, Vec<crate::system::WindowSample>, TrialMetrics), TrialError> {
+    fn run_collect(&mut self) -> Result<TrialRun, TrialError> {
         // Smooth weighted round-robin over the components, by the
         // Table 4 time fractions.
         let weights = self.spec.component_weights();
@@ -1393,8 +1315,12 @@ impl<'c> Engine<'c> {
             u64::from(self.users_created),
         );
         let metrics = self.collect_metrics();
-        let windows = self.window.take().map(|(_, s)| s).unwrap_or_default();
-        Ok((result, windows, metrics))
+        let windows = self.window.take().map(|w| w.samples).unwrap_or_default();
+        Ok(TrialRun {
+            result,
+            metrics,
+            windows,
+        })
     }
 }
 
@@ -1462,7 +1388,7 @@ mod tests {
             .with_scale(20_000)
             .with_fast_path(walk);
         cfg.interrupt_handler_words = 0;
-        let mut scratch = TrialScratch::new();
+        let mut scratch = TrialScratch::default();
         let mut e =
             Engine::new(&cfg, SeedSeq::new(1), SeedSeq::new(2), &mut scratch).expect("boots");
         let va = VirtAddr::new(KERNEL_TEXT_BASE);
@@ -1553,10 +1479,17 @@ mod tests {
     fn observed_trial_matches_plain_and_collects_metrics() {
         let cfg = small_cfg();
         let (base, trial) = (SeedSeq::new(1), SeedSeq::new(2));
-        let plain = run_trial(&cfg, base, trial);
-        let (observed, metrics) = run_trial_observed(&cfg, base, trial, ObsConfig::with_ring(64));
+        let plain = TrialRunner::new().run(&cfg, base, trial).expect("trial");
+        let TrialRun {
+            result: observed,
+            metrics,
+            ..
+        } = TrialRunner::new()
+            .observe(ObsConfig::with_ring(64))
+            .run(&cfg, base, trial)
+            .expect("trial");
         // Observation never perturbs the simulation.
-        assert_eq!(plain, observed);
+        assert_eq!(plain.result, observed);
         // Every handler entry produced exactly one ring event.
         assert_eq!(
             metrics.events_recorded,
@@ -1571,7 +1504,7 @@ mod tests {
         assert_eq!(metrics.phases.overhead(), observed.overhead_cycles);
         assert_eq!(metrics.phases.workload(), observed.workload_cycles);
         // A disabled ring records nothing but counts stay on.
-        let (_, quiet) = run_trial_observed(&cfg, base, trial, ObsConfig::default());
+        let quiet = plain.metrics;
         assert_eq!(quiet.events_recorded, 0);
         assert!(quiet.events.is_empty());
         assert_eq!(quiet.counters, metrics.counters);
@@ -1579,14 +1512,35 @@ mod tests {
     }
 
     #[test]
+    fn window_miss_ratios_divide_by_each_window_span() {
+        let period = NonZeroU64::new(5_000).expect("positive window");
+        let windows = TrialRunner::new()
+            .window(period)
+            .run(&small_cfg(), SeedSeq::new(1), SeedSeq::new(2))
+            .expect("trial")
+            .windows;
+        assert!(windows.len() > 2);
+        let ratios: Vec<f64> = WindowSample::miss_ratios(&windows).collect();
+        let mut previous_end = 0;
+        for (w, ratio) in windows.iter().zip(ratios) {
+            let span = w.end_instructions - previous_end;
+            assert_eq!(ratio, w.misses as f64 / span as f64);
+            previous_end = w.end_instructions;
+        }
+        // Windows close at quantum boundaries, not on the period.
+        assert!(windows
+            .iter()
+            .any(|w| w.end_instructions % period.get() != 0));
+    }
+
+    #[test]
     fn ring_events_are_ordered_and_well_formed() {
         let cfg = small_cfg();
-        let (_, metrics) = run_trial_observed(
-            &cfg,
-            SeedSeq::new(1),
-            SeedSeq::new(2),
-            ObsConfig::with_ring(128),
-        );
+        let metrics = TrialRunner::new()
+            .observe(ObsConfig::with_ring(128))
+            .run(&cfg, SeedSeq::new(1), SeedSeq::new(2))
+            .expect("trial")
+            .metrics;
         let cycles: Vec<u64> = metrics.events.iter().map(|e| e.cycle).collect();
         assert!(
             cycles.windows(2).all(|w| w[0] <= w[1]),

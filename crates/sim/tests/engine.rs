@@ -4,9 +4,14 @@
 
 use tapeworm_core::{CacheConfig, Indexing, TlbSimConfig};
 use tapeworm_machine::Component;
-use tapeworm_sim::{run_trial, AllocPolicy, ComponentSet, SimModel, SystemConfig};
+use tapeworm_sim::{AllocPolicy, ComponentSet, SimModel, SystemConfig, TrialRun, TrialRunner};
 use tapeworm_stats::SeedSeq;
 use tapeworm_workload::Workload;
+
+/// Runs one trial on a fresh [`TrialRunner`].
+fn one_trial(cfg: &SystemConfig, base: SeedSeq, trial: SeedSeq) -> TrialRun {
+    TrialRunner::new().run(cfg, base, trial).expect("feasible")
+}
 
 const SCALE: u64 = 2000; // fast tests: ~0.7M instructions for mpeg_play
 
@@ -21,7 +26,7 @@ fn cfg(workload: Workload, bytes: u64) -> SystemConfig {
 #[test]
 fn trial_executes_the_instruction_budget() {
     let c = cfg(Workload::MpegPlay, 4096);
-    let r = run_trial(&c, SeedSeq::new(1), SeedSeq::new(10));
+    let r = one_trial(&c, SeedSeq::new(1), SeedSeq::new(10)).result;
     let expected = Workload::MpegPlay.spec().scaled_instructions(SCALE);
     // Interrupt handlers add a little work on top of the budget.
     assert!(
@@ -46,7 +51,7 @@ fn component_fractions_track_table4() {
     // accounting is per component, so each measured component must see
     // misses; the instruction split is enforced by the WRR weights.
     let c = cfg(Workload::MpegPlay, 1024);
-    let r = run_trial(&c, SeedSeq::new(2), SeedSeq::new(3));
+    let r = one_trial(&c, SeedSeq::new(2), SeedSeq::new(3)).result;
     for comp in Component::ALL {
         assert!(r.misses(comp) > 0.0, "{comp} saw no misses");
     }
@@ -67,7 +72,7 @@ fn miss_ratio_decreases_with_cache_size() {
         let c = SystemConfig::cache(Workload::MpegPlay, vcache)
             .with_scale(500)
             .with_components(ComponentSet::user_only());
-        let r = run_trial(&c, seeds.0, seeds.1);
+        let r = one_trial(&c, seeds.0, seeds.1).result;
         let ratio = r.total_miss_ratio();
         assert!(
             ratio <= prev * 1.05 + 1e-6,
@@ -82,7 +87,7 @@ fn miss_ratio_decreases_with_cache_size() {
 #[test]
 fn user_only_measurement_excludes_system_components() {
     let c = cfg(Workload::MpegPlay, 4096).with_components(ComponentSet::user_only());
-    let r = run_trial(&c, SeedSeq::new(7), SeedSeq::new(8));
+    let r = one_trial(&c, SeedSeq::new(7), SeedSeq::new(8)).result;
     assert!(r.misses(Component::User) > 0.0);
     assert_eq!(r.misses(Component::Kernel), 0.0);
     assert_eq!(r.misses(Component::BsdServer), 0.0);
@@ -95,12 +100,8 @@ fn interference_all_activity_exceeds_sum_of_parts() {
     let base = SeedSeq::new(11);
     let trial = SeedSeq::new(12);
     let run = |set: ComponentSet| {
-        run_trial(
-            &cfg(Workload::MpegPlay, 4096).with_components(set),
-            base,
-            trial,
-        )
-        .total_misses()
+        let c = cfg(Workload::MpegPlay, 4096).with_components(set);
+        one_trial(&c, base, trial).result.total_misses()
     };
     let user = run(ComponentSet::user_only());
     let servers = run(ComponentSet::servers_only());
@@ -122,8 +123,8 @@ fn virtual_indexing_without_sampling_is_deterministic() {
         .unwrap()
         .with_indexing(Indexing::Virtual);
     let c = SystemConfig::cache(Workload::Espresso, vcache).with_scale(SCALE);
-    let a = run_trial(&c, base, SeedSeq::new(100));
-    let b = run_trial(&c, base, SeedSeq::new(200));
+    let a = one_trial(&c, base, SeedSeq::new(100)).result;
+    let b = one_trial(&c, base, SeedSeq::new(200)).result;
     assert_eq!(a.total_misses(), b.total_misses());
     assert_eq!(a.instructions, b.instructions);
 }
@@ -135,8 +136,8 @@ fn physical_indexing_varies_with_page_allocation() {
     // allocation), for caches larger than a page.
     let base = SeedSeq::new(22);
     let c = cfg(Workload::MpegPlay, 32 * 1024);
-    let a = run_trial(&c, base, SeedSeq::new(1));
-    let b = run_trial(&c, base, SeedSeq::new(2));
+    let a = one_trial(&c, base, SeedSeq::new(1)).result;
+    let b = one_trial(&c, base, SeedSeq::new(2)).result;
     assert_ne!(a.total_misses(), b.total_misses());
 }
 
@@ -147,20 +148,17 @@ fn page_sized_physical_cache_has_no_allocation_variance() {
     // smaller".
     let base = SeedSeq::new(23);
     let c = cfg(Workload::Espresso, 4096);
-    let a = run_trial(&c, base, SeedSeq::new(1));
-    let b = run_trial(&c, base, SeedSeq::new(2));
+    let a = one_trial(&c, base, SeedSeq::new(1)).result;
+    let b = one_trial(&c, base, SeedSeq::new(2)).result;
     assert_eq!(a.total_misses(), b.total_misses());
 }
 
 #[test]
 fn sampling_reduces_slowdown_roughly_proportionally() {
     let base = SeedSeq::new(24);
-    let full = run_trial(&cfg(Workload::MpegPlay, 1024), base, SeedSeq::new(5));
-    let eighth = run_trial(
-        &cfg(Workload::MpegPlay, 1024).with_sampling(8),
-        base,
-        SeedSeq::new(5),
-    );
+    let full = one_trial(&cfg(Workload::MpegPlay, 1024), base, SeedSeq::new(5)).result;
+    let sampled = cfg(Workload::MpegPlay, 1024).with_sampling(8);
+    let eighth = one_trial(&sampled, base, SeedSeq::new(5)).result;
     assert!(eighth.slowdown() < full.slowdown() / 4.0);
     // The expanded estimate stays in the neighbourhood of the full
     // count (sampling is unbiased, if noisy).
@@ -171,7 +169,7 @@ fn sampling_reduces_slowdown_roughly_proportionally() {
 #[test]
 fn multitask_workloads_fork_and_exit_the_whole_tree() {
     let c = cfg(Workload::Ousterhout, 4096);
-    let r = run_trial(&c, SeedSeq::new(31), SeedSeq::new(32));
+    let r = one_trial(&c, SeedSeq::new(31), SeedSeq::new(32)).result;
     assert_eq!(r.tasks_created, 15); // Table 4's task count
     assert!(r.misses(Component::User) > 0.0);
 }
@@ -180,15 +178,15 @@ fn multitask_workloads_fork_and_exit_the_whole_tree() {
 fn sequential_allocation_is_deterministic_even_physically_indexed() {
     let base = SeedSeq::new(41);
     let c = cfg(Workload::MpegPlay, 32 * 1024).with_alloc(AllocPolicy::Sequential);
-    let a = run_trial(&c, base, SeedSeq::new(1));
-    let b = run_trial(&c, base, SeedSeq::new(2));
+    let a = one_trial(&c, base, SeedSeq::new(1)).result;
+    let b = one_trial(&c, base, SeedSeq::new(2)).result;
     assert_eq!(a.total_misses(), b.total_misses());
 }
 
 #[test]
 fn tlb_simulation_counts_tlb_misses() {
     let c = SystemConfig::tlb(Workload::MpegPlay, TlbSimConfig::r3000()).with_scale(SCALE);
-    let r = run_trial(&c, SeedSeq::new(51), SeedSeq::new(52));
+    let r = one_trial(&c, SeedSeq::new(51), SeedSeq::new(52)).result;
     assert!(r.total_misses() > 0.0);
     // TLB misses are far rarer than 1K-cache misses.
     assert!(
@@ -203,7 +201,7 @@ fn masked_traps_are_counted() {
     // The clock-interrupt handler's masked prefix loses some kernel
     // misses; the bias counter must see them.
     let c = cfg(Workload::Ousterhout, 1024);
-    let r = run_trial(&c, SeedSeq::new(61), SeedSeq::new(62));
+    let r = one_trial(&c, SeedSeq::new(61), SeedSeq::new(62)).result;
     assert!(r.masked_misses > 0, "expected masked kernel misses");
     // But the bias is small relative to total misses (§4.2).
     assert!((r.masked_misses as f64) < 0.05 * r.total_misses());
@@ -215,8 +213,8 @@ fn unoptimized_handler_slows_simulation_down() {
     let trial = SeedSeq::new(72);
     let mut slow = cfg(Workload::MpegPlay, 4096);
     slow.cost = tapeworm_sim::CostKind::UnoptimizedC;
-    let fast = run_trial(&cfg(Workload::MpegPlay, 4096), base, trial);
-    let slowed = run_trial(&slow, base, trial);
+    let fast = one_trial(&cfg(Workload::MpegPlay, 4096), base, trial).result;
+    let slowed = one_trial(&slow, base, trial).result;
     assert!(slowed.slowdown() > 5.0 * fast.slowdown());
 }
 
@@ -229,7 +227,7 @@ fn model_selection_is_visible_in_config() {
 #[test]
 fn kernel_trace_buffer_sees_all_components_at_trace_cost() {
     let c = SystemConfig::kernel_trace_buffer(Workload::Ousterhout, cache(4096)).with_scale(SCALE);
-    let buffer = run_trial(&c, SeedSeq::new(95), SeedSeq::new(96));
+    let buffer = one_trial(&c, SeedSeq::new(95), SeedSeq::new(96)).result;
     // Complete coverage, like Tapeworm:
     assert!(buffer.misses(Component::Kernel) > 0.0);
     assert!(buffer.misses(Component::BsdServer) > 0.0);
@@ -238,11 +236,8 @@ fn kernel_trace_buffer_sees_all_components_at_trace_cost() {
     // annotate+simulate cycles for every instruction executed.
     assert!(buffer.overhead_cycles > buffer.instructions * (12 + 49));
     // Tapeworm on the same workload is cheaper.
-    let tw = run_trial(
-        &cfg(Workload::Ousterhout, 4096),
-        SeedSeq::new(95),
-        SeedSeq::new(96),
-    );
+    let c = cfg(Workload::Ousterhout, 4096);
+    let tw = one_trial(&c, SeedSeq::new(95), SeedSeq::new(96)).result;
     assert!(tw.slowdown() < buffer.slowdown());
 }
 
@@ -254,7 +249,7 @@ fn split_cache_counts_data_misses_only_on_allocating_hosts() {
     let good = SystemConfig::split(Workload::MpegPlay, icache, dcache)
         .with_components(ComponentSet::user_only())
         .with_scale(SCALE);
-    let r_good = run_trial(&good, SeedSeq::new(91), SeedSeq::new(92));
+    let r_good = one_trial(&good, SeedSeq::new(91), SeedSeq::new(92)).result;
     let d_good = r_good.total_data_misses().expect("split run reports D");
     assert!(d_good > 0.0);
     assert!(r_good.total_misses() > 0.0, "I-side still counted");
@@ -263,7 +258,7 @@ fn split_cache_counts_data_misses_only_on_allocating_hosts() {
     // Broken host: no-allocate-on-write loses store-side misses.
     let mut bad = good.clone();
     bad.write_policy = tapeworm_mem::WritePolicy::NoAllocateOnWrite;
-    let r_bad = run_trial(&bad, SeedSeq::new(91), SeedSeq::new(92));
+    let r_bad = one_trial(&bad, SeedSeq::new(91), SeedSeq::new(92)).result;
     let d_bad = r_bad.total_data_misses().expect("split run reports D");
     assert!(r_bad.write_traps_destroyed > 0, "hazard must be observed");
     assert!(d_bad < d_good, "undercount expected: {d_bad} !< {d_good}");
@@ -278,7 +273,7 @@ fn two_level_simulation_runs_and_l2_absorbs_l1_misses() {
     let c = SystemConfig::two_level(Workload::MpegPlay, l1, l2)
         .with_components(ComponentSet::user_only())
         .with_scale(SCALE);
-    let r = run_trial(&c, SeedSeq::new(81), SeedSeq::new(82));
+    let r = one_trial(&c, SeedSeq::new(81), SeedSeq::new(82)).result;
     let l1_misses = r.total_misses();
     let l2_misses = r.total_l2_misses().expect("two-level run reports L2");
     assert!(l1_misses > 0.0);
@@ -287,11 +282,8 @@ fn two_level_simulation_runs_and_l2_absorbs_l1_misses() {
         "a 64K L2 must absorb most 1K-L1 misses: {l2_misses} vs {l1_misses}"
     );
     // Single-level runs report no L2 data.
-    let single = run_trial(
-        &cfg(Workload::MpegPlay, 1024).with_components(ComponentSet::user_only()),
-        SeedSeq::new(81),
-        SeedSeq::new(82),
-    );
+    let c = cfg(Workload::MpegPlay, 1024).with_components(ComponentSet::user_only());
+    let single = one_trial(&c, SeedSeq::new(81), SeedSeq::new(82)).result;
     assert!(single.total_l2_misses().is_none());
     // L1 miss counts agree between the two models (same L1, same
     // stream): the trap pattern is identical.

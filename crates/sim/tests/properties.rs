@@ -6,11 +6,18 @@
 //! Property-based tests of the experiment engine, at tiny instruction
 //! scale so hundreds of full-system trials stay fast.
 
+use std::num::NonZeroU64;
+
 use proptest::prelude::*;
 use tapeworm_core::{CacheConfig, Indexing};
-use tapeworm_sim::{run_trial, run_trial_windowed, AllocPolicy, ComponentSet, SystemConfig};
+use tapeworm_sim::{AllocPolicy, ComponentSet, SystemConfig, TrialRun, TrialRunner};
 use tapeworm_stats::SeedSeq;
 use tapeworm_workload::Workload;
+
+/// Runs one trial on a fresh [`TrialRunner`].
+fn one_trial(cfg: &SystemConfig, base: SeedSeq, trial: SeedSeq) -> TrialRun {
+    TrialRunner::new().run(cfg, base, trial).expect("feasible")
+}
 
 const TINY: u64 = 20_000; // mpeg_play: ~71k instructions
 
@@ -47,8 +54,8 @@ proptest! {
         trial in any::<u64>(),
     ) {
         let cfg = SystemConfig::cache(w, cache).with_scale(TINY);
-        let a = run_trial(&cfg, SeedSeq::new(base), SeedSeq::new(trial));
-        let b = run_trial(&cfg, SeedSeq::new(base), SeedSeq::new(trial));
+        let a = one_trial(&cfg, SeedSeq::new(base), SeedSeq::new(trial)).result;
+        let b = one_trial(&cfg, SeedSeq::new(base), SeedSeq::new(trial)).result;
         prop_assert_eq!(a, b);
     }
 
@@ -62,7 +69,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let cfg = SystemConfig::cache(w, cache).with_scale(TINY);
-        let r = run_trial(&cfg, SeedSeq::new(seed), SeedSeq::new(seed ^ 1));
+        let r = one_trial(&cfg, SeedSeq::new(seed), SeedSeq::new(seed ^ 1)).result;
         prop_assert!(r.total_misses() >= 0.0);
         // At one trap per line of 4 instructions, misses can't exceed
         // references... with generous slack for data structures.
@@ -84,18 +91,20 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let cache = CacheConfig::new(4096, 16, 1).unwrap();
-        let all = run_trial(
+        let all = one_trial(
             &SystemConfig::cache(w, cache).with_scale(TINY),
             SeedSeq::new(seed),
             SeedSeq::new(7),
-        );
-        let user = run_trial(
+        )
+        .result;
+        let user = one_trial(
             &SystemConfig::cache(w, cache)
                 .with_components(ComponentSet::user_only())
                 .with_scale(TINY),
             SeedSeq::new(seed),
             SeedSeq::new(7),
-        );
+        )
+        .result;
         prop_assert!(user.total_misses() <= all.total_misses() + 1e-9);
     }
 
@@ -104,12 +113,11 @@ proptest! {
     fn windows_partition_the_miss_count(seed in any::<u64>()) {
         let cache = CacheConfig::new(2048, 16, 1).unwrap();
         let cfg = SystemConfig::cache(Workload::Espresso, cache).with_scale(TINY);
-        let (r, windows) = run_trial_windowed(
-            &cfg,
-            SeedSeq::new(seed),
-            SeedSeq::new(3),
-            5_000,
-        );
+        let run = TrialRunner::new()
+            .window(NonZeroU64::new(5_000).expect("positive window"))
+            .run(&cfg, SeedSeq::new(seed), SeedSeq::new(3))
+            .expect("feasible config");
+        let (r, windows) = (run.result, run.windows);
         let windowed: u64 = windows.iter().map(|w| w.misses).sum();
         // The final partial window is not emitted; the sum must be a
         // lower bound within one window of the total raw misses.
@@ -134,13 +142,14 @@ proptest! {
             .unwrap()
             .with_indexing(Indexing::Virtual);
         let run = |alloc| {
-            run_trial(
+            one_trial(
                 &SystemConfig::cache(Workload::Xlisp, cache)
                     .with_scale(TINY)
                     .with_alloc(alloc),
                 SeedSeq::new(seed),
                 SeedSeq::new(9),
             )
+            .result
             .total_misses()
         };
         let random = run(AllocPolicy::Random);

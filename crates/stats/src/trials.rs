@@ -11,7 +11,7 @@
 //! regardless of thread count. `threads == 1` takes a plain serial loop
 //! with no thread, channel or heap machinery at all.
 
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -36,35 +36,6 @@ impl TrialSet {
     /// Summary statistics over the trials.
     pub fn summary(&self) -> &Summary {
         &self.summary
-    }
-}
-
-/// A completed job travelling from a worker to the committer, ordered so
-/// a min-heap (`BinaryHeap<Completed<T>>` with reversed `Ord`) yields the
-/// lowest outstanding index first.
-struct Completed<T> {
-    index: usize,
-    value: T,
-}
-
-impl<T> PartialEq for Completed<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.index == other.index
-    }
-}
-
-impl<T> Eq for Completed<T> {}
-
-impl<T> PartialOrd for Completed<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<T> Ord for Completed<T> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the smallest index.
-        other.index.cmp(&self.index)
     }
 }
 
@@ -230,20 +201,19 @@ struct Progress {
     backoff: u64,
 }
 
-/// What a worker reports to the committer.
-enum Report<T> {
-    /// Trial reached a terminal outcome (value or exhausted retries).
-    Done {
-        index: usize,
-        outcome: Result<T, FailureKind>,
-        progress: Progress,
-    },
-    /// The trial panicked; the sending worker has exited (poisoned).
-    Panicked {
-        index: usize,
-        progress: Progress,
-        message: String,
-    },
+/// What a worker reports to the committer: a trial's terminal outcome
+/// (a value or exhausted typed retries), or a panic — after which the
+/// sending worker has exited (poisoned).
+struct Report<T> {
+    index: usize,
+    progress: Progress,
+    outcome: Result<T, FailureKind>,
+}
+
+impl<T> Report<T> {
+    fn poisoned(&self) -> bool {
+        matches!(self.outcome, Err(FailureKind::Panic(_)))
+    }
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -329,139 +299,65 @@ impl TrialScheduler {
     /// `&mut` state (accumulate statistics, stream table rows) without
     /// synchronization, and sees exactly the sequence the serial loop
     /// would produce.
-    pub fn run_committed<T, F, C>(&self, n: usize, job: F, commit: C)
+    ///
+    /// This is the resilient loop
+    /// ([`run_committed_resilient_stateful`](Self::run_committed_resilient_stateful))
+    /// with [`RetryPolicy::none`] and no worker state.
+    ///
+    /// # Panics
+    ///
+    /// A panicking job is re-raised on the calling thread, with the
+    /// job's message, when its index comes up for commit.
+    pub fn run_committed<T, F, C>(&self, n: usize, job: F, mut commit: C)
     where
         T: Send,
         F: Fn(usize) -> T + Sync,
         C: FnMut(usize, T),
     {
-        self.run_committed_stateful(n, || (), |(), i| job(i), commit);
+        self.run_committed_resilient_stateful(
+            n,
+            RetryPolicy::none(),
+            || (),
+            |(), i, _attempt| Ok::<T, String>(job(i)),
+            |i, outcome| match outcome {
+                Ok(value) => commit(i, value),
+                Err(failure) => panic!("{failure}"),
+            },
+        );
     }
 
-    /// [`run_committed`](Self::run_committed) with per-worker state.
+    /// The worker pool behind every run: evaluates `job(state, index,
+    /// attempt)` for `index` in `0..n` and commits the outcomes in
+    /// index order.
     ///
     /// Each worker thread calls `init()` exactly once at spawn and
     /// passes its state to every job it runs (the serial path holds one
     /// state across the whole loop). This is the hook for reusing
     /// expensive per-trial allocations — a worker's scratch buffers
     /// survive from one trial to the next instead of being rebuilt.
-    ///
     /// The state must not affect job results: which worker (and hence
     /// which state instance) runs an index depends on dynamic load
-    /// balancing. Bit-identical output for every thread count therefore
-    /// requires `job(&mut fresh, i) == job(&mut reused, i)` — true for
-    /// scratch allocations by construction, and pinned for the trial
-    /// engine by the fast-path differential tests.
-    pub fn run_committed_stateful<S, T, I, F, C>(&self, n: usize, init: I, job: F, mut commit: C)
-    where
-        T: Send,
-        I: Fn() -> S + Sync,
-        F: Fn(&mut S, usize) -> T + Sync,
-        C: FnMut(usize, T),
-    {
-        if n == 0 {
-            return;
-        }
-        if self.threads == 1 {
-            // The serial path is the reference semantics: compute and
-            // commit in one loop, one long-lived state.
-            let mut state = init();
-            for i in 0..n {
-                let v = job(&mut state, i);
-                commit(i, v);
-            }
-            return;
-        }
-
-        let workers = self.threads.min(n);
-        let cursor = AtomicUsize::new(0);
-        let (tx, rx) = mpsc::channel::<Completed<T>>();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let tx = tx.clone();
-                let cursor = &cursor;
-                let init = &init;
-                let job = &job;
-                scope.spawn(move || {
-                    let mut state = init();
-                    loop {
-                        let index = cursor.fetch_add(1, Ordering::Relaxed);
-                        if index >= n {
-                            break;
-                        }
-                        let value = job(&mut state, index);
-                        if tx.send(Completed { index, value }).is_err() {
-                            break;
-                        }
-                    }
-                });
-            }
-            drop(tx);
-
-            // Deterministic committer: hold out-of-order completions in
-            // a min-heap and release the head whenever it is the next
-            // expected index.
-            let mut pending = BinaryHeap::new();
-            let mut next = 0usize;
-            while next < n {
-                let done = rx.recv().expect(
-                    "a worker panicked before completing its trial; \
-                     the experiment cannot be committed",
-                );
-                pending.push(done);
-                while pending
-                    .peek()
-                    .is_some_and(|head: &Completed<T>| head.index == next)
-                {
-                    let head = pending.pop().expect("peeked entry exists");
-                    commit(head.index, head.value);
-                    next += 1;
-                }
-            }
-        });
-    }
-
-    /// Fault-tolerant variant of [`run_committed`](Self::run_committed).
+    /// balancing, so bit-identical output for every thread count
+    /// requires `job(&mut fresh, i, a) == job(&mut reused, i, a)`.
     ///
-    /// Each attempt of `job(index, attempt)` runs under
-    /// [`catch_unwind`], so a panicking trial poisons only its worker:
-    /// the committer respawns a replacement and the trial is retried
-    /// under `retry`'s budget with a capped deterministic backoff
-    /// schedule (virtual units — nothing sleeps, so results carry no
-    /// wall-clock). Typed errors (`Err(String)`) are retried in place
-    /// by the same worker. A trial that exhausts its budget commits a
+    /// Each attempt runs under [`catch_unwind`], so a panicking trial
+    /// poisons only its worker: the committer respawns a replacement
+    /// and the trial is retried under `retry`'s budget with a capped
+    /// deterministic backoff schedule (virtual units — nothing sleeps,
+    /// so results carry no wall-clock). A panic may leave the worker's
+    /// state arbitrarily corrupted, so it is discarded with the
+    /// poisoned worker — the replacement calls `init()` afresh (the
+    /// serial path re-inits in place, keeping the accounting
+    /// thread-count invariant). Typed errors (`Err(String)`) retry on
+    /// the same worker with the same state, exactly like a healthy next
+    /// trial. A trial that exhausts its budget commits a
     /// [`TrialFailure`] instead of a value — the run completes and
     /// reports instead of aborting.
     ///
-    /// `commit(index, outcome)` is still invoked strictly in index
-    /// order on the calling thread, and both the committed sequence and
-    /// the returned [`FaultStats`] are bit-identical for every thread
-    /// count (every statistic is a sum over `(index, attempt)` events).
-    pub fn run_committed_resilient<T, F, C>(
-        &self,
-        n: usize,
-        retry: RetryPolicy,
-        job: F,
-        commit: C,
-    ) -> FaultStats
-    where
-        T: Send,
-        F: Fn(usize, u32) -> Result<T, String> + Sync,
-        C: FnMut(usize, Result<T, TrialFailure>),
-    {
-        self.run_committed_resilient_stateful(n, retry, || (), |(), i, a| job(i, a), commit)
-    }
-
-    /// [`run_committed_resilient`](Self::run_committed_resilient) with
-    /// per-worker state (see
-    /// [`run_committed_stateful`](Self::run_committed_stateful)).
-    ///
-    /// Fault interaction: a panic may leave the worker's state
-    /// arbitrarily corrupted, so it is discarded with the poisoned
-    /// worker — the respawned replacement calls `init()` afresh (the
-    /// serial path re-inits in place, keeping the accounting
-    /// thread-count invariant). Typed errors retry on the same worker
-    /// with the same state, exactly like a healthy next trial.
+    /// `commit(index, outcome)` is invoked strictly in index order on
+    /// the calling thread, and both the committed sequence and the
+    /// returned [`FaultStats`] are bit-identical for every thread count
+    /// (every statistic is a sum over `(index, attempt)` events).
     pub fn run_committed_resilient_stateful<S, T, I, F, C>(
         &self,
         n: usize,
@@ -482,19 +378,61 @@ impl TrialScheduler {
             return stats;
         }
 
-        // Terminal bookkeeping shared by both paths: per-trial retries,
-        // typed failures and backoff are accounted exactly once, when
-        // the trial reaches a terminal outcome.
-        let finish = |stats: &mut FaultStats,
-                      index: usize,
-                      progress: Progress,
-                      outcome: Result<T, FailureKind>|
-         -> Result<T, TrialFailure> {
+        // The worker's side, shared by both paths: attempts of one
+        // trial run on one state until a terminal outcome or a panic.
+        // Typed errors retry in place; the worker is not poisoned.
+        let attempts = |state: &mut S, index: usize, mut progress: Progress| -> Report<T> {
+            loop {
+                let outcome =
+                    match catch_unwind(AssertUnwindSafe(|| job(state, index, progress.attempt))) {
+                        Ok(Ok(v)) => Ok(v),
+                        Ok(Err(msg)) => {
+                            progress.typed_failures += 1;
+                            Err(FailureKind::Error(msg))
+                        }
+                        Err(payload) => Err(FailureKind::Panic(panic_message(&*payload))),
+                    };
+                let retry_in_place = matches!(outcome, Err(FailureKind::Error(_)))
+                    && progress.attempt + 1 < max_attempts;
+                if !retry_in_place {
+                    return Report {
+                        index,
+                        progress,
+                        outcome,
+                    };
+                }
+                progress.backoff += retry.backoff_for(progress.attempt);
+                progress.attempt += 1;
+            }
+        };
+
+        // The committer's side, shared by both paths: a panic poisons
+        // its worker and either exhausts the trial's budget or hands
+        // back the next attempt to run (`Err`). A terminal outcome is
+        // accounted exactly once — per-trial retries, typed failures
+        // and backoff — and returned for commit.
+        let settle = |stats: &mut FaultStats,
+                      report: Report<T>|
+         -> Result<(usize, Result<T, TrialFailure>), (usize, Progress)> {
+            let Report {
+                index,
+                mut progress,
+                outcome,
+            } = report;
+            if matches!(outcome, Err(FailureKind::Panic(_))) {
+                stats.panics += 1;
+                stats.workers_respawned += 1;
+                if progress.attempt + 1 < max_attempts {
+                    progress.backoff += retry.backoff_for(progress.attempt);
+                    progress.attempt += 1;
+                    return Err((index, progress));
+                }
+            }
             stats.retries += u64::from(progress.attempt);
             stats.typed_failures += u64::from(progress.typed_failures);
             stats.backoff_units += progress.backoff;
             stats.trials_computed += 1;
-            outcome.map_err(|kind| {
+            let outcome = outcome.map_err(|kind| {
                 stats.failed_trials += 1;
                 TrialFailure {
                     index,
@@ -502,46 +440,31 @@ impl TrialScheduler {
                     backoff_units: progress.backoff,
                     kind,
                 }
-            })
+            });
+            Ok((index, outcome))
         };
 
         if self.threads == 1 {
-            // Serial reference semantics: attempts loop in place. A
-            // caught panic "poisons" the lone worker and the loop
-            // re-enters immediately — counted as a respawn, and the
-            // worker state is re-initialized in place, so the stats
-            // (and state lifecycle) are thread-count invariant.
+            // Serial reference semantics: the lone worker runs every
+            // trial in index order and commits in place. A caught panic
+            // "poisons" it and it re-enters immediately with its state
+            // re-initialized — counted as a respawn, so the stats (and
+            // state lifecycle) are thread-count invariant.
             let mut state = init();
             for index in 0..n {
-                let mut progress = Progress::default();
-                let outcome = loop {
-                    match catch_unwind(AssertUnwindSafe(|| {
-                        job(&mut state, index, progress.attempt)
-                    })) {
-                        Ok(Ok(v)) => break Ok(v),
-                        Ok(Err(msg)) => {
-                            progress.typed_failures += 1;
-                            if progress.attempt + 1 >= max_attempts {
-                                break Err(FailureKind::Error(msg));
-                            }
-                        }
-                        Err(payload) => {
-                            stats.panics += 1;
-                            stats.workers_respawned += 1;
-                            // The panic may have corrupted the state
-                            // mid-trial; discard it like a poisoned
-                            // worker's.
-                            state = init();
-                            if progress.attempt + 1 >= max_attempts {
-                                break Err(FailureKind::Panic(panic_message(&*payload)));
-                            }
-                        }
+                let mut report = attempts(&mut state, index, Progress::default());
+                loop {
+                    if report.poisoned() {
+                        state = init();
                     }
-                    progress.backoff += retry.backoff_for(progress.attempt);
-                    progress.attempt += 1;
-                };
-                let outcome = finish(&mut stats, index, progress, outcome);
-                commit(index, outcome);
+                    match settle(&mut stats, report) {
+                        Ok((index, outcome)) => {
+                            commit(index, outcome);
+                            break;
+                        }
+                        Err((index, progress)) => report = attempts(&mut state, index, progress),
+                    }
+                }
             }
             return stats;
         }
@@ -557,7 +480,7 @@ impl TrialScheduler {
                 let cursor = &cursor;
                 let retry_queue = &retry_queue;
                 let init = &init;
-                let job = &job;
+                let attempts = &attempts;
                 scope.spawn(move || {
                     // Fresh state per (re)spawn: a respawned worker
                     // never inherits a panicked predecessor's state.
@@ -565,7 +488,7 @@ impl TrialScheduler {
                     loop {
                         // Queued retries take priority over fresh indices.
                         let work = retry_queue.lock().expect("retry queue").pop_front();
-                        let (index, mut progress) = match work {
+                        let (index, progress) = match work {
                             Some(w) => w,
                             None => {
                                 let i = cursor.fetch_add(1, Ordering::Relaxed);
@@ -575,45 +498,14 @@ impl TrialScheduler {
                                 (i, Progress::default())
                             }
                         };
-                        loop {
-                            match catch_unwind(AssertUnwindSafe(|| {
-                                job(&mut state, index, progress.attempt)
-                            })) {
-                                Ok(Ok(v)) => {
-                                    let _ = tx.send(Report::Done {
-                                        index,
-                                        outcome: Ok(v),
-                                        progress,
-                                    });
-                                    break;
-                                }
-                                Ok(Err(msg)) => {
-                                    // Typed errors retry in place; the
-                                    // worker is not poisoned.
-                                    progress.typed_failures += 1;
-                                    if progress.attempt + 1 >= max_attempts {
-                                        let _ = tx.send(Report::Done {
-                                            index,
-                                            outcome: Err(FailureKind::Error(msg)),
-                                            progress,
-                                        });
-                                        break;
-                                    }
-                                    progress.backoff += retry.backoff_for(progress.attempt);
-                                    progress.attempt += 1;
-                                }
-                                Err(payload) => {
-                                    // A panic may have corrupted this
-                                    // worker's stack-local state: report
-                                    // and exit; the committer respawns.
-                                    let _ = tx.send(Report::Panicked {
-                                        index,
-                                        progress,
-                                        message: panic_message(&*payload),
-                                    });
-                                    return;
-                                }
-                            }
+                        let report = attempts(&mut state, index, progress);
+                        // A panic may have corrupted this worker's
+                        // state: report and exit; the committer
+                        // respawns.
+                        let poisoned = report.poisoned();
+                        let _ = tx.send(report);
+                        if poisoned {
+                            return;
                         }
                     }
                 });
@@ -622,58 +514,31 @@ impl TrialScheduler {
                 spawn_worker(tx.clone());
             }
 
-            let mut pending: BinaryHeap<Completed<Result<T, TrialFailure>>> = BinaryHeap::new();
+            // Deterministic committer: hold out-of-order completions by
+            // index and release them while the next expected one is in.
+            let mut pending = BTreeMap::new();
             let mut next = 0usize;
             while next < n {
                 let report = rx
                     .recv()
                     .expect("a worker exited without reporting its trial");
-                match report {
-                    Report::Done {
-                        index,
-                        outcome,
-                        progress,
-                    } => {
-                        let value = finish(&mut stats, index, progress, outcome);
-                        pending.push(Completed { index, value });
+                let poisoned = report.poisoned();
+                match settle(&mut stats, report) {
+                    Ok((index, outcome)) => {
+                        pending.insert(index, outcome);
                     }
-                    Report::Panicked {
-                        index,
-                        mut progress,
-                        message,
-                    } => {
-                        stats.panics += 1;
-                        stats.workers_respawned += 1;
-                        if progress.attempt + 1 >= max_attempts {
-                            let value = finish(
-                                &mut stats,
-                                index,
-                                progress,
-                                Err(FailureKind::Panic(message)),
-                            );
-                            pending.push(Completed { index, value });
-                        } else {
-                            progress.backoff += retry.backoff_for(progress.attempt);
-                            progress.attempt += 1;
-                            // Enqueue BEFORE spawning so the fresh
-                            // worker can never miss the retry and exit.
-                            retry_queue
-                                .lock()
-                                .expect("retry queue")
-                                .push_back((index, progress));
-                        }
-                        // Always respawn: idle workers may already have
-                        // exited, and unclaimed indices could otherwise
-                        // strand the committer.
-                        spawn_worker(tx.clone());
-                    }
+                    // Enqueue BEFORE spawning so the fresh worker can
+                    // never miss the retry and exit.
+                    Err(work) => retry_queue.lock().expect("retry queue").push_back(work),
                 }
-                while pending
-                    .peek()
-                    .is_some_and(|head: &Completed<Result<T, TrialFailure>>| head.index == next)
-                {
-                    let head = pending.pop().expect("peeked entry exists");
-                    commit(head.index, head.value);
+                if poisoned {
+                    // Always respawn: idle workers may already have
+                    // exited, and unclaimed indices could otherwise
+                    // strand the committer.
+                    spawn_worker(tx.clone());
+                }
+                while let Some(outcome) = pending.remove(&next) {
+                    commit(next, outcome);
                     next += 1;
                 }
             }
@@ -719,28 +584,6 @@ where
     Ok(TrialSet { values, summary })
 }
 
-/// Runs `n` trials of `f` across `threads` OS threads.
-///
-/// Results are bit-identical to [`run_trials`] (trial `i` always gets the
-/// same derived seed, and the committer restores trial order); only
-/// wall-clock time changes. `threads == 0` selects the available
-/// parallelism; `1` degrades to the sequential path.
-///
-/// # Errors
-///
-/// Returns [`EmptySampleError`] when `n == 0`.
-pub fn run_trials_parallel<F>(
-    base: SeedSeq,
-    n: usize,
-    threads: usize,
-    f: F,
-) -> Result<TrialSet, EmptySampleError>
-where
-    F: Fn(SeedSeq) -> f64 + Sync,
-{
-    TrialScheduler::new(threads).run_trials(base, n, f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -766,7 +609,9 @@ mod tests {
         let f = |seed: SeedSeq| seed.rng().gen_range(0.0..100.0);
         let seq = run_trials(SeedSeq::new(11), 13, f).unwrap();
         for threads in [2, 4, 8, 32] {
-            let par = run_trials_parallel(SeedSeq::new(11), 13, threads, f).unwrap();
+            let par = TrialScheduler::new(threads)
+                .run_trials(SeedSeq::new(11), 13, f)
+                .unwrap();
             assert_eq!(seq.values(), par.values(), "threads={threads}");
         }
     }
@@ -775,7 +620,9 @@ mod tests {
     fn single_thread_parallel_degrades() {
         let f = |seed: SeedSeq| seed.value() as f64;
         let seq = run_trials(SeedSeq::new(2), 5, f).unwrap();
-        let par = run_trials_parallel(SeedSeq::new(2), 5, 1, f).unwrap();
+        let par = TrialScheduler::new(1)
+            .run_trials(SeedSeq::new(2), 5, f)
+            .unwrap();
         assert_eq!(seq.values(), par.values());
     }
 
@@ -786,7 +633,7 @@ mod tests {
             Err(EmptySampleError)
         );
         assert_eq!(
-            run_trials_parallel(SeedSeq::new(0), 0, 4, |_| 0.0),
+            TrialScheduler::new(4).run_trials(SeedSeq::new(0), 0, |_| 0.0),
             Err(EmptySampleError)
         );
         assert_eq!(
@@ -841,6 +688,18 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "job 5 exploded")]
+    fn serial_run_reraises_a_job_panic() {
+        TrialScheduler::new(1).run(8, |i| assert_ne!(i, 5, "job 5 exploded"));
+    }
+
+    #[test]
+    #[should_panic(expected = "job 5 exploded")]
+    fn parallel_run_reraises_a_job_panic() {
+        TrialScheduler::new(4).run(8, |i| assert_ne!(i, 5, "job 5 exploded"));
+    }
+
+    #[test]
     fn zero_threads_selects_available_parallelism() {
         let sched = TrialScheduler::new(0);
         assert!(sched.threads() >= 1);
@@ -872,10 +731,12 @@ mod tests {
         errors: &[(usize, u32)],
     ) -> (Vec<(usize, Result<u64, TrialFailure>)>, FaultStats) {
         let mut committed = Vec::new();
-        let stats = TrialScheduler::new(threads).run_committed_resilient(
+        let job = faulty_job(panics, errors);
+        let stats = TrialScheduler::new(threads).run_committed_resilient_stateful(
             n,
             retry,
-            faulty_job(panics, errors),
+            || (),
+            |(), i, a| job(i, a),
             |i, v| committed.push((i, v)),
         );
         (committed, stats)
@@ -948,10 +809,11 @@ mod tests {
             let mut plain = Vec::new();
             TrialScheduler::new(threads).run_committed(9, |i| i * 2, |i, v| plain.push((i, v)));
             let mut resilient = Vec::new();
-            let stats = TrialScheduler::new(threads).run_committed_resilient(
+            let stats = TrialScheduler::new(threads).run_committed_resilient_stateful(
                 9,
                 RetryPolicy::none(),
-                |i, _attempt| Ok::<usize, String>(i * 2),
+                || (),
+                |(), i, _attempt| Ok::<usize, String>(i * 2),
                 |i, v| resilient.push((i, v.unwrap())),
             );
             assert_eq!(plain, resilient, "threads={threads}");

@@ -12,8 +12,10 @@
 //!
 //! Run with: `cargo run --release --example continuous_monitoring`
 
+use std::num::NonZeroU64;
+
 use tapeworm::core::CacheConfig;
-use tapeworm::sim::{run_trial_windowed, SystemConfig};
+use tapeworm::sim::{SystemConfig, TrialRunner, WindowSample};
 use tapeworm::stats::SeedSeq;
 use tapeworm::workload::Workload;
 
@@ -22,8 +24,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cfg = SystemConfig::cache(Workload::Sdet, cache).with_scale(200);
     const WINDOW: u64 = 100_000;
 
-    let (result, windows) = run_trial_windowed(&cfg, SeedSeq::new(1994), SeedSeq::new(6), WINDOW);
-    let ratios: Vec<f64> = windows.iter().map(|w| w.miss_ratio(WINDOW)).collect();
+    let run = TrialRunner::new()
+        .window(NonZeroU64::new(WINDOW).expect("positive window"))
+        .run(&cfg, SeedSeq::new(1994), SeedSeq::new(6))?;
+    let (result, windows) = (run.result, run.windows);
+    // Each window spans the instructions since the previous one closed
+    // (a window closes at the first quantum boundary past its period).
+    let ratios: Vec<f64> = WindowSample::miss_ratios(&windows).collect();
     let mean = ratios.iter().sum::<f64>() / ratios.len() as f64;
     let max = ratios.iter().cloned().fold(0.0f64, f64::max);
 

@@ -10,7 +10,7 @@
 
 use tapeworm::core::CacheConfig;
 use tapeworm::machine::Component;
-use tapeworm::sim::{run_trial, ComponentSet, SystemConfig};
+use tapeworm::sim::{ComponentSet, SystemConfig, TrialRunner};
 use tapeworm::stats::SeedSeq;
 use tapeworm::trace::Pixie;
 use tapeworm::workload::Workload;
@@ -25,7 +25,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let cfg = SystemConfig::cache(workload, cache)
             .with_components(set)
             .with_scale(500);
-        run_trial(&cfg, base, trial)
+        TrialRunner::new()
+            .run(&cfg, base, trial)
+            .expect("feasible config")
+            .result
     };
 
     println!("ousterhout (15 user tasks), 4K direct-mapped I-cache\n");

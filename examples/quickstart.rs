@@ -10,7 +10,7 @@ use tapeworm::core::{CacheConfig, Tapeworm};
 use tapeworm::machine::Component;
 use tapeworm::mem::{Pfn, PhysAddr, TrapMap, VirtAddr};
 use tapeworm::os::Tid;
-use tapeworm::sim::{run_trial, SystemConfig};
+use tapeworm::sim::{SystemConfig, TrialRunner};
 use tapeworm::stats::SeedSeq;
 use tapeworm::workload::Workload;
 
@@ -57,7 +57,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // paper reports: misses per component, and Slowdown.
     let cache = CacheConfig::new(4 * 1024, 16, 1)?;
     let cfg = SystemConfig::cache(Workload::Espresso, cache).with_scale(500);
-    let result = run_trial(&cfg, SeedSeq::new(1994), SeedSeq::new(7));
+    let result = TrialRunner::new()
+        .run(&cfg, SeedSeq::new(1994), SeedSeq::new(7))?
+        .result;
 
     println!("\nespresso, 4K direct-mapped I-cache, all activity:");
     for component in Component::ALL {

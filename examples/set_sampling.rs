@@ -8,7 +8,7 @@
 //! Run with: `cargo run --release --example set_sampling`
 
 use tapeworm::core::CacheConfig;
-use tapeworm::sim::{run_trial, ComponentSet, SystemConfig};
+use tapeworm::sim::{ComponentSet, SystemConfig, TrialRunner};
 use tapeworm::stats::trials::run_trials;
 use tapeworm::stats::SeedSeq;
 use tapeworm::workload::Workload;
@@ -29,7 +29,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .with_sampling(den);
         let mut slowdown = 0.0;
         let trials = run_trials(base.derive("sampling-demo", den), 8, |trial| {
-            let r = run_trial(&cfg, base, trial);
+            let r = TrialRunner::new()
+                .run(&cfg, base, trial)
+                .expect("feasible config")
+                .result;
             slowdown = r.slowdown();
             r.total_misses()
         })?;

@@ -10,13 +10,15 @@
 
 use tapeworm::core::TlbSimConfig;
 use tapeworm::mem::PageSize;
-use tapeworm::sim::{run_trial, SystemConfig};
+use tapeworm::sim::{SystemConfig, TrialRunner};
 use tapeworm::stats::SeedSeq;
 use tapeworm::workload::Workload;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let base = SeedSeq::new(1994);
     let trial = SeedSeq::new(5);
+    // One runner for every trial: its engine buffers are reused.
+    let mut runner = TrialRunner::new();
 
     println!("ousterhout TLB simulation (fully associative, 4K pages)\n");
     println!(
@@ -32,7 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             kernel_miss_cycles: 550,
         };
         let cfg = SystemConfig::tlb(Workload::Ousterhout, tlb).with_scale(500);
-        let r = run_trial(&cfg, base, trial);
+        let r = runner.run(&cfg, base, trial)?.result;
         println!(
             "{:>8}  {:>12.0}  {:>10.3}",
             entries,
@@ -55,7 +57,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             kernel_miss_cycles: 550,
         };
         let cfg = SystemConfig::tlb(Workload::Ousterhout, tlb).with_scale(500);
-        let r = run_trial(&cfg, base, trial);
+        let r = runner.run(&cfg, base, trial)?.result;
         println!(
             "{:>7}K  {:>12.0}  {:>10.3}",
             page_kb,

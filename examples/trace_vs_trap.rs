@@ -12,7 +12,7 @@
 use tapeworm::core::{CacheConfig, Indexing};
 use tapeworm::machine::Component;
 use tapeworm::sim::compare::run_trace_driven;
-use tapeworm::sim::{run_trial, ComponentSet, SystemConfig};
+use tapeworm::sim::{ComponentSet, SystemConfig, TrialRunner};
 use tapeworm::stats::SeedSeq;
 use tapeworm::trace::TracePolicy;
 use tapeworm::workload::Workload;
@@ -32,7 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let cfg = SystemConfig::cache(Workload::Espresso, cache)
             .with_components(ComponentSet::user_only())
             .with_scale(500);
-        let trap = run_trial(&cfg, base, SeedSeq::new(8));
+        let trap = TrialRunner::new().run(&cfg, base, SeedSeq::new(8))?.result;
         // FIFO on the trace side to match the trap-driven replacement
         // exactly (LRU is impossible trap-driven: hits are invisible).
         let trace = run_trace_driven(&cfg, cache, TracePolicy::Fifo, base)?;

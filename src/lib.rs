@@ -26,16 +26,19 @@
 //!
 //! ```
 //! use tapeworm::core::CacheConfig;
-//! use tapeworm::sim::{run_trial, SystemConfig};
+//! use tapeworm::sim::{ObsConfig, SystemConfig, TrialRunner};
 //! use tapeworm::stats::SeedSeq;
 //! use tapeworm::workload::Workload;
 //!
 //! let cache = CacheConfig::new(4 * 1024, 16, 1)?;
 //! let cfg = SystemConfig::cache(Workload::Espresso, cache).with_scale(2000);
-//! let result = run_trial(&cfg, SeedSeq::new(1), SeedSeq::new(2));
-//! assert!(result.total_misses() > 0.0);
-//! println!("slowdown: {:.2}", result.slowdown());
-//! # Ok::<(), tapeworm::core::CacheConfigError>(())
+//! // One runner per worker: it reuses its engine buffers across trials.
+//! let mut runner = TrialRunner::new().observe(ObsConfig::with_ring(64));
+//! let run = runner.run(&cfg, SeedSeq::new(1), SeedSeq::new(2))?;
+//! assert!(run.result.total_misses() > 0.0);
+//! assert!(!run.metrics.events.is_empty());
+//! println!("slowdown: {:.2}", run.result.slowdown());
+//! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 #![forbid(unsafe_code)]

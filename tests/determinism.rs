@@ -12,16 +12,23 @@
 //!    change to it silently re-randomizes every table and figure, so it
 //!    must be deliberate and visible in this file's diff.
 
+use std::num::NonZeroU64;
+
 use tapeworm::core::{CacheConfig, TlbSimConfig};
 use tapeworm::obs::MetricsReport;
 use tapeworm::sim::{
-    run_sweep, run_sweep_resilient, run_trial, run_trial_observed, run_trial_windowed,
-    CheckpointConfig, ComponentSet, FaultPlan, ObsConfig, SweepOptions, SystemConfig, TrialResult,
-    TrialSummary, WindowSample,
+    run_sweep, run_sweep_resilient, CheckpointConfig, ComponentSet, FaultPlan, ObsConfig,
+    SweepOptions, SystemConfig, TrialError, TrialResult, TrialRun, TrialRunner, TrialSummary,
+    WindowSample,
 };
-use tapeworm::stats::trials::{run_trials_parallel, TrialScheduler};
+use tapeworm::stats::trials::TrialScheduler;
 use tapeworm::stats::SeedSeq;
 use tapeworm::workload::Workload;
+
+/// Runs one trial on a fresh [`TrialRunner`].
+fn one_trial(cfg: &SystemConfig, base: SeedSeq, trial: SeedSeq) -> TrialRun {
+    TrialRunner::new().run(cfg, base, trial).expect("feasible")
+}
 
 const SCALE: u64 = 20_000;
 
@@ -70,16 +77,12 @@ fn run_sweep_is_bit_identical_across_thread_counts() {
 fn run_trials_parallel_is_bit_identical_across_thread_counts() {
     let cfg = &sweep_configs()[0];
     let base = SeedSeq::new(7);
-    let serial = run_trials_parallel(base, 6, 1, |trial| {
-        run_trial(cfg, base, trial).total_misses()
-    })
-    .expect("six trials");
+    let misses = |trial| one_trial(cfg, base, trial).result.total_misses();
+    let serial = TrialScheduler::serial().run_trials(base, 6, misses);
+    assert!(serial.is_ok(), "six trials");
     for threads in [2usize, 8] {
-        let par = run_trials_parallel(base, 6, threads, |trial| {
-            run_trial(cfg, base, trial).total_misses()
-        })
-        .expect("six trials");
-        assert_eq!(serial.values(), par.values(), "threads={threads}");
+        let par = TrialScheduler::new(threads).run_trials(base, 6, misses);
+        assert_eq!(par, serial, "threads={threads}");
     }
 }
 
@@ -206,7 +209,7 @@ fn engine_matches_pre_refactor_golden_digests() {
         ),
     ];
     for (label, cfg, expected) in &cases {
-        let r = run_trial(cfg, base, trial(label));
+        let r = one_trial(cfg, base, trial(label)).result;
         assert_eq!(
             digest(&r, &[]),
             *expected,
@@ -215,7 +218,11 @@ fn engine_matches_pre_refactor_golden_digests() {
     }
 
     let cfg = SystemConfig::cache(Workload::MpegPlay, dm(4)).with_scale(SCALE);
-    let (r, w) = run_trial_windowed(&cfg, base, trial("windowed"), 10_000);
+    let run = TrialRunner::new()
+        .window(NonZeroU64::new(10_000).expect("positive window"))
+        .run(&cfg, base, trial("windowed"))
+        .expect("feasible config");
+    let (r, w) = (run.result, run.windows);
     assert_eq!(
         digest(&r, &w),
         0x2bc7_619a_1c24_e048,
@@ -255,10 +262,10 @@ fn sweep_metrics_are_bit_identical_across_thread_counts() {
     assert!(reference[0].metrics().counters.total() > 0);
 }
 
-/// `run_trial_observed` returns the same `TrialResult` as `run_trial`
-/// for every simulator mode — observation never perturbs the
-/// simulation — and its metrics are reproducible run to run, with the
-/// ring on or off.
+/// A trial observed through the event ring returns the same
+/// `TrialResult` as a plain one for every simulator mode — observation
+/// never perturbs the simulation — and its metrics are reproducible run
+/// to run, with the ring on or off.
 #[test]
 fn observed_trials_match_plain_trials_and_reproduce() {
     let dm = |kb: u64| CacheConfig::new(kb * 1024, 16, 1).expect("valid geometry");
@@ -282,23 +289,85 @@ fn observed_trials_match_plain_trials_and_reproduce() {
             SystemConfig::two_level(Workload::Espresso, dm(1), dm(8)).with_scale(SCALE),
         ),
     ];
+    let mut ring = TrialRunner::new().observe(ObsConfig::with_ring(256));
     for (label, cfg) in &cases {
-        let plain = run_trial(cfg, base, trial);
-        let (observed, m1) = run_trial_observed(cfg, base, trial, ObsConfig::default());
-        let (ringed, m2) = run_trial_observed(cfg, base, trial, ObsConfig::with_ring(256));
-        assert_eq!(plain, observed, "{label}: observation perturbed the trial");
-        assert_eq!(plain, ringed, "{label}: the event ring perturbed the trial");
+        let plain = one_trial(cfg, base, trial);
+        let ringed = ring.run(cfg, base, trial).expect("feasible config");
+        let (m1, m2) = (&plain.metrics, &ringed.metrics);
+        assert_eq!(
+            plain.result, ringed.result,
+            "{label}: the event ring perturbed the trial"
+        );
         // Counters and phases are identical whether or not events are
         // recorded; only the event payload differs.
         assert_eq!(m1.counters, m2.counters, "{label}");
         assert_eq!(m1.phases, m2.phases, "{label}");
         assert_eq!(m1.events_recorded, 0, "{label}: disabled ring recorded");
         // Metrics are reproducible run to run.
-        let (_, m3) = run_trial_observed(cfg, base, trial, ObsConfig::with_ring(256));
-        assert_eq!(m2, m3, "{label}: metrics not reproducible");
+        let m3 = ring.run(cfg, base, trial).expect("feasible config").metrics;
+        assert_eq!(*m2, m3, "{label}: metrics not reproducible");
         // The phase account books exactly the trial's cycles.
-        assert_eq!(m1.phases.workload(), plain.workload_cycles, "{label}");
-        assert_eq!(m1.phases.overhead(), plain.overhead_cycles, "{label}");
+        assert_eq!(
+            m1.phases.workload(),
+            plain.result.workload_cycles,
+            "{label}"
+        );
+        assert_eq!(
+            m1.phases.overhead(),
+            plain.result.overhead_cycles,
+            "{label}"
+        );
+    }
+}
+
+/// One runner reused across every simulator mode, across failed
+/// `OutOfFrames` trials and with the ring and window each on and off
+/// returns exactly what a fresh runner returns: the scratch it salvages
+/// after every trial, failed or not, never leaks into the next one.
+#[test]
+fn a_reused_runner_matches_fresh_runners() {
+    let dm = |kb: u64| CacheConfig::new(kb * 1024, 16, 1).expect("valid geometry");
+    let base = SeedSeq::new(1994);
+    let trial = base.derive("reuse", 0).derive("trial", 0);
+    let modes = [
+        SystemConfig::cache(Workload::Espresso, dm(4)),
+        SystemConfig::cache(Workload::Espresso, dm(4)).with_sampling(8),
+        SystemConfig::tlb(Workload::MpegPlay, TlbSimConfig::r3000()),
+        SystemConfig::split(Workload::JpegPlay, dm(4), dm(4)),
+        SystemConfig::two_level(Workload::Espresso, dm(1), dm(8)),
+        SystemConfig::kernel_trace_buffer(Workload::MpegPlay, dm(4)),
+    ]
+    .map(|cfg| cfg.with_scale(SCALE));
+    let starved = [8, 16].map(|frames| {
+        let mut cfg = SystemConfig::cache(Workload::MpegPlay, dm(4)).with_scale(SCALE);
+        cfg.frames = frames;
+        cfg
+    });
+    let period = NonZeroU64::new(10_000).expect("positive window");
+    for (ring, window) in [(0, None), (64, None), (0, Some(period)), (64, Some(period))] {
+        let runner = || {
+            let runner = TrialRunner::new().observe(ObsConfig::with_ring(ring));
+            window.into_iter().fold(runner, TrialRunner::window)
+        };
+        let mut reused = runner();
+        let mut events = 0;
+        for cfg in &modes {
+            for starved in &starved {
+                let failed = reused.run(starved, base, trial);
+                assert!(matches!(failed, Err(TrialError::OutOfFrames { .. })));
+                assert_eq!(failed, runner().run(starved, base, trial));
+            }
+            let run = reused.run(cfg, base, trial).expect("feasible config");
+            assert_eq!(run.windows.is_empty(), window.is_none());
+            events += run.metrics.events.len();
+            assert_eq!(
+                run,
+                runner().run(cfg, base, trial).expect("feasible config"),
+                "{:?} ring={ring} window={window:?}",
+                cfg.model
+            );
+        }
+        assert_eq!(events > 0, ring > 0);
     }
 }
 

@@ -201,14 +201,14 @@ fn traps_of(machine: &mut Machine) -> &mut TrapMap {
 }
 
 /// An undersized physical memory is a configuration error, not a
-/// crash: `try_run_trial` surfaces it as a typed
+/// crash: `TrialRunner::run` surfaces it as a typed
 /// [`tapeworm::sim::TrialError::OutOfFrames`] whose message names the
 /// knob to raise (`SystemConfig::frames`), and `Error::source` carries
 /// the VM-level out-of-memory error.
 #[test]
 fn out_of_frames_is_a_typed_trial_error() {
     use std::error::Error as _;
-    use tapeworm::sim::{try_run_trial, SystemConfig, TrialError};
+    use tapeworm::sim::{SystemConfig, TrialError, TrialRunner};
     use tapeworm::workload::Workload;
 
     let mut cfg = SystemConfig::cache(
@@ -220,7 +220,8 @@ fn out_of_frames_is_a_typed_trial_error() {
     cfg.frames = 8;
 
     let base = SeedSeq::new(1994);
-    let err = try_run_trial(&cfg, base, base.derive("trial", 0))
+    let err = TrialRunner::new()
+        .run(&cfg, base, base.derive("trial", 0))
         .expect_err("8 frames cannot hold the workload");
     let TrialError::OutOfFrames { frames, .. } = err;
     assert_eq!(frames, 8);

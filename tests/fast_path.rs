@@ -19,11 +19,16 @@ use std::sync::Mutex;
 use tapeworm::core::{CacheConfig, TlbSimConfig};
 use tapeworm::obs::{CounterId, TrialMetrics};
 use tapeworm::sim::{
-    run_sweep_resilient, run_trial_observed, ComponentSet, ObsConfig, SweepOptions, SystemConfig,
-    TrialResult,
+    run_sweep_resilient, ComponentSet, ObsConfig, SweepOptions, SystemConfig, TrialResult,
+    TrialRun, TrialRunner,
 };
 use tapeworm::stats::SeedSeq;
 use tapeworm::workload::Workload;
+
+/// Runs one trial on a fresh [`TrialRunner`].
+fn one_trial(cfg: &SystemConfig, base: SeedSeq, trial: SeedSeq) -> TrialRun {
+    TrialRunner::new().run(cfg, base, trial).expect("feasible")
+}
 
 const SCALE: u64 = 20_000;
 
@@ -174,8 +179,11 @@ fn walk_preserves_ring_events_ticks_and_masking() {
                 walk.masked_prefix_words = masked_prefix_words;
                 let stepwise = walk.clone().with_fast_path(false);
                 let obs = ObsConfig::with_ring(1 << 18);
-                let (wr, wm) = run_trial_observed(&walk, base, trial, obs);
-                let (sr, sm) = run_trial_observed(&stepwise, base, trial, obs);
+                let mut runner = TrialRunner::new().observe(obs);
+                let run = runner.run(&walk, base, trial).expect("feasible config");
+                let (wr, wm) = (run.result, run.metrics);
+                let run = runner.run(&stepwise, base, trial).expect("feasible config");
+                let (sr, sm) = (run.result, run.metrics);
                 let what = format!(
                     "{label} dilate={dilate} clock={clock_period} masked={masked_prefix_words}"
                 );
@@ -206,7 +214,8 @@ fn fast_path_engages_exactly_where_expected() {
     let trial = base.derive("fast", 0).derive("trial", 0);
 
     for (label, cfg) in modes() {
-        let (r, m) = run_trial_observed(&cfg, base, trial, ObsConfig::default());
+        let run = one_trial(&cfg, base, trial);
+        let (r, m) = (run.result, run.metrics);
         let runs = m.counters.get(CounterId::FastRuns);
         let words = m.counters.get(CounterId::FastWords);
         match label {
@@ -229,7 +238,7 @@ fn fast_path_engages_exactly_where_expected() {
         }
         // The config kill switch forces every word onto the slow path.
         let off = cfg.with_fast_path(false);
-        let (_, m) = run_trial_observed(&off, base, trial, ObsConfig::default());
+        let m = one_trial(&off, base, trial).metrics;
         assert_eq!(m.counters.get(CounterId::FastRuns), 0, "{label}: disabled");
         assert_eq!(m.counters.get(CounterId::FastWords), 0, "{label}: disabled");
     }
@@ -245,11 +254,13 @@ fn tw_fast_env_knob_forces_the_slow_path() {
     let cfg = SystemConfig::cache(Workload::Espresso, dm(4)).with_scale(SCALE);
 
     std::env::remove_var("TW_FAST");
-    let (on_result, on_metrics) = run_trial_observed(&cfg, base, trial, ObsConfig::default());
+    let run = one_trial(&cfg, base, trial);
+    let (on_result, on_metrics) = (run.result, run.metrics);
     assert!(on_metrics.counters.get(CounterId::FastRuns) > 0);
 
     std::env::set_var("TW_FAST", "0");
-    let (off_result, off_metrics) = run_trial_observed(&cfg, base, trial, ObsConfig::default());
+    let run = one_trial(&cfg, base, trial);
+    let (off_result, off_metrics) = (run.result, run.metrics);
     std::env::remove_var("TW_FAST");
 
     assert_eq!(off_metrics.counters.get(CounterId::FastRuns), 0);
@@ -257,7 +268,7 @@ fn tw_fast_env_knob_forces_the_slow_path() {
     assert_eq!(on_result, off_result, "TW_FAST=0 perturbed the result");
     // Any value other than "0" leaves the fast path on.
     std::env::set_var("TW_FAST", "1");
-    let (_, again) = run_trial_observed(&cfg, base, trial, ObsConfig::default());
+    let again = one_trial(&cfg, base, trial).metrics;
     std::env::remove_var("TW_FAST");
     assert!(again.counters.get(CounterId::FastRuns) > 0);
 }

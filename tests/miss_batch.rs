@@ -18,10 +18,15 @@
 use tapeworm::core::{CacheConfig, Indexing, Replacement, TlbSimConfig};
 use tapeworm::obs::CounterId;
 use tapeworm::sim::{
-    run_sweep, run_trial_observed, ComponentSet, ObsConfig, SystemConfig, TrialResult,
+    run_sweep, ComponentSet, ObsConfig, SystemConfig, TrialResult, TrialRun, TrialRunner,
 };
 use tapeworm::stats::SeedSeq;
 use tapeworm::workload::Workload;
+
+/// Runs one trial on a fresh [`TrialRunner`].
+fn one_trial(cfg: &SystemConfig, base: SeedSeq, trial: SeedSeq) -> TrialRun {
+    TrialRunner::new().run(cfg, base, trial).expect("feasible")
+}
 
 const SCALE: u64 = 20_000;
 
@@ -97,7 +102,12 @@ fn walk_bookkeeping(id: CounterId) -> bool {
 #[test]
 fn miss_batch_is_bit_identical_to_stepwise() {
     for (label, cfg) in geometries() {
-        let stepwise = run_sweep(&[cfg.clone().with_fast_path(false)], 4, SeedSeq::new(1994), 1);
+        let stepwise = run_sweep(
+            &[cfg.clone().with_fast_path(false)],
+            4,
+            SeedSeq::new(1994),
+            1,
+        );
         for threads in [1usize, 4, 8] {
             let walk = run_sweep(&[cfg.clone()], 4, SeedSeq::new(1994), threads);
             assert_eq!(
@@ -136,8 +146,11 @@ fn miss_batch_preserves_ring_event_timestamps() {
             walk.dilate = dilate;
             let stepwise = walk.clone().with_fast_path(false);
             let obs = ObsConfig::with_ring(1 << 18);
-            let (wr, wm) = run_trial_observed(&walk, base, trial, obs);
-            let (sr, sm) = run_trial_observed(&stepwise, base, trial, obs);
+            let mut runner = TrialRunner::new().observe(obs);
+            let run = runner.run(&walk, base, trial).expect("feasible config");
+            let (wr, wm) = (run.result, run.metrics);
+            let run = runner.run(&stepwise, base, trial).expect("feasible config");
+            let (sr, sm) = (run.result, run.metrics);
             let what = format!("{label} dilate={dilate}");
             assert_eq!(wr, sr, "{what}: observed results diverged");
             assert_eq!(sm.events_dropped, 0, "{what}: ring too small");
@@ -164,7 +177,7 @@ fn miss_batch_engages_exactly_where_expected() {
     let base = SeedSeq::new(1994);
     let trial = base.derive("batch", 0).derive("trial", 0);
     for (label, cfg) in geometries() {
-        let (_, m) = run_trial_observed(&cfg, base, trial, ObsConfig::default());
+        let m = one_trial(&cfg, base, trial).metrics;
         let flushes = m.counters.get(CounterId::MissBatchFlushes);
         let misses = m.counters.get(CounterId::TrapEntries);
         assert!(misses > 0, "{label}: no misses");
@@ -175,8 +188,12 @@ fn miss_batch_engages_exactly_where_expected() {
         );
 
         let off = cfg.with_fast_path(false);
-        let (_, m) = run_trial_observed(&off, base, trial, ObsConfig::default());
-        assert_eq!(m.counters.get(CounterId::MissBatchFlushes), 0, "{label}: stepwise");
+        let m = one_trial(&off, base, trial).metrics;
+        assert_eq!(
+            m.counters.get(CounterId::MissBatchFlushes),
+            0,
+            "{label}: stepwise"
+        );
     }
 
     let dm = cache(4, 16, 1);
@@ -190,7 +207,7 @@ fn miss_batch_engages_exactly_where_expected() {
             SystemConfig::kernel_trace_buffer(Workload::MpegPlay, dm).with_scale(SCALE),
         ),
     ] {
-        let (_, m) = run_trial_observed(&cfg, base, trial, ObsConfig::default());
+        let m = one_trial(&cfg, base, trial).metrics;
         assert_eq!(
             m.counters.get(CounterId::MissBatchFlushes),
             0,

@@ -14,9 +14,7 @@
 
 use tapeworm::core::{CacheConfig, TlbSimConfig};
 use tapeworm::obs::CounterId;
-use tapeworm::sim::{
-    run_sweep, run_trial_observed, ComponentSet, ObsConfig, SystemConfig, TrialResult,
-};
+use tapeworm::sim::{run_sweep, ComponentSet, ObsConfig, SystemConfig, TrialResult, TrialRunner};
 use tapeworm::stats::SeedSeq;
 use tapeworm::workload::Workload;
 
@@ -71,8 +69,10 @@ fn walk_bookkeeping(id: CounterId) -> bool {
 #[test]
 fn miss_schedule_is_bit_identical_to_stepwise() {
     let cfgs = configs();
-    let stepwise_cfgs: Vec<SystemConfig> =
-        cfgs.iter().map(|c| c.clone().with_fast_path(false)).collect();
+    let stepwise_cfgs: Vec<SystemConfig> = cfgs
+        .iter()
+        .map(|c| c.clone().with_fast_path(false))
+        .collect();
     let stepwise = run_sweep(&stepwise_cfgs, 3, SeedSeq::new(1994), 1);
     for threads in [1usize, 4, 8] {
         let walk = run_sweep(&cfgs, 3, SeedSeq::new(1994), threads);
@@ -112,8 +112,11 @@ fn miss_schedule_preserves_ring_event_timestamps() {
         walk.clock_period = 2500;
         let stepwise = walk.clone().with_fast_path(false);
         let obs = ObsConfig::with_ring(1 << 18);
-        let (wr, wm) = run_trial_observed(&walk, base, trial, obs);
-        let (sr, sm) = run_trial_observed(&stepwise, base, trial, obs);
+        let mut runner = TrialRunner::new().observe(obs);
+        let run = runner.run(&walk, base, trial).expect("feasible config");
+        let (wr, wm) = (run.result, run.metrics);
+        let run = runner.run(&stepwise, base, trial).expect("feasible config");
+        let (sr, sm) = (run.result, run.metrics);
         let what = format!("config {i} ({:?})", walk.workload);
         assert_eq!(wr, sr, "{what}: observed results diverged");
         assert!(sr.clock_interrupts > 10, "{what}: too few ticks fired");
@@ -148,9 +151,16 @@ fn miss_schedule_engages_exactly_where_expected() {
     for (i, cfg) in cfgs.into_iter().enumerate() {
         for fast in [true, false] {
             let run = cfg.clone().with_fast_path(fast);
-            let (_, m) = run_trial_observed(&run, base, trial, ObsConfig::default());
+            let m = TrialRunner::new()
+                .run(&run, base, trial)
+                .expect("feasible config")
+                .metrics;
             for id in retired {
-                assert_eq!(m.counters.get(id), 0, "config {i} fast={fast}: {id} must read 0");
+                assert_eq!(
+                    m.counters.get(id),
+                    0,
+                    "config {i} fast={fast}: {id} must read 0"
+                );
             }
         }
     }

@@ -4,11 +4,16 @@
 use tapeworm::core::{CacheConfig, Indexing};
 use tapeworm::machine::Component;
 use tapeworm::sim::compare::{breakeven_miss_ratio, run_trace_driven};
-use tapeworm::sim::{run_trial, ComponentSet, SystemConfig};
+use tapeworm::sim::{ComponentSet, SystemConfig, TrialRun, TrialRunner};
 use tapeworm::stats::trials::run_trials;
 use tapeworm::stats::SeedSeq;
 use tapeworm::trace::TracePolicy;
 use tapeworm::workload::Workload;
+
+/// Runs one trial on a fresh [`TrialRunner`].
+fn one_trial(cfg: &SystemConfig, base: SeedSeq, trial: SeedSeq) -> TrialRun {
+    TrialRunner::new().run(cfg, base, trial).expect("feasible")
+}
 
 const SCALE: u64 = 2000;
 
@@ -30,7 +35,7 @@ fn slowdown_claim_from_the_abstract() {
         let cfg = SystemConfig::cache(Workload::MpegPlay, dm4(kb))
             .with_components(ComponentSet::user_only())
             .with_scale(SCALE);
-        let r = run_trial(&cfg, BASE(), SeedSeq::new(1));
+        let r = one_trial(&cfg, BASE(), SeedSeq::new(1)).result;
         let user_ratio = r.misses(Component::User) / (r.instructions as f64 * 0.446);
         if user_ratio < 0.10 {
             assert!(r.slowdown() < 10.0, "{kb}K: slowdown {}", r.slowdown());
@@ -40,7 +45,7 @@ fn slowdown_claim_from_the_abstract() {
     let cfg = SystemConfig::cache(Workload::MpegPlay, dm4(256))
         .with_components(ComponentSet::user_only())
         .with_scale(SCALE);
-    let r = run_trial(&cfg, BASE(), SeedSeq::new(1));
+    let r = one_trial(&cfg, BASE(), SeedSeq::new(1)).result;
     assert!(r.slowdown() < 1.0, "got {}", r.slowdown());
 }
 
@@ -56,7 +61,7 @@ fn figure2_shape() {
         let cfg = SystemConfig::cache(Workload::MpegPlay, cache)
             .with_components(ComponentSet::user_only())
             .with_scale(SCALE);
-        tw_slowdowns.push(run_trial(&cfg, BASE(), SeedSeq::new(2)).slowdown());
+        tw_slowdowns.push(one_trial(&cfg, BASE(), SeedSeq::new(2)).result.slowdown());
         tr_slowdowns.push(
             run_trace_driven(&cfg, cache, TracePolicy::Lru, BASE())
                 .unwrap()
@@ -88,13 +93,14 @@ fn breakeven_claim() {
 fn table6_structure() {
     for w in [Workload::Ousterhout, Workload::Xlisp] {
         let run = |set: ComponentSet| {
-            run_trial(
+            one_trial(
                 &SystemConfig::cache(w, dm4(4))
                     .with_components(set)
                     .with_scale(SCALE),
                 BASE(),
                 SeedSeq::new(3),
             )
+            .result
         };
         let user = run(ComponentSet::user_only()).total_misses();
         let servers = run(ComponentSet::servers_only()).total_misses();
@@ -119,7 +125,7 @@ fn user_component_validates_against_traces() {
         let cfg = SystemConfig::cache(w, cache)
             .with_components(ComponentSet::user_only())
             .with_scale(SCALE);
-        let tw = run_trial(&cfg, BASE(), SeedSeq::new(4));
+        let tw = one_trial(&cfg, BASE(), SeedSeq::new(4)).result;
         let tr = run_trace_driven(&cfg, cache, TracePolicy::Fifo, BASE()).unwrap();
         assert_eq!(
             tw.misses(Component::User) as u64,
@@ -136,7 +142,7 @@ fn user_component_validates_against_traces() {
 fn variance_taxonomy() {
     let spread = |cfg: SystemConfig, tag: u64| {
         let set = run_trials(BASE().derive("variance", tag), 5, |trial| {
-            run_trial(&cfg, BASE(), trial).total_misses()
+            one_trial(&cfg, BASE(), trial).result.total_misses()
         })
         .expect("five trials");
         set.summary().stddev_pct_of_mean()
@@ -173,11 +179,13 @@ fn variance_taxonomy() {
 fn dilation_increases_misses() {
     let mut undilated = SystemConfig::cache(Workload::MpegPlay, dm4(4)).with_scale(SCALE);
     undilated.dilate = false;
-    let base_misses = run_trial(&undilated, BASE(), SeedSeq::new(5)).total_misses();
+    let base_misses = one_trial(&undilated, BASE(), SeedSeq::new(5))
+        .result
+        .total_misses();
 
     let mut dilated = SystemConfig::cache(Workload::MpegPlay, dm4(4)).with_scale(SCALE);
     dilated.cost = tapeworm::sim::CostKind::UnoptimizedC; // extreme dilation
-    let r = run_trial(&dilated, BASE(), SeedSeq::new(5));
+    let r = one_trial(&dilated, BASE(), SeedSeq::new(5)).result;
     assert!(
         r.total_misses() > base_misses * 1.02,
         "dilated {} vs baseline {base_misses}",
@@ -201,7 +209,7 @@ fn golden_miss_counts_at_scale_2000() {
         let cfg = SystemConfig::cache(workload, dm4(kb))
             .with_components(ComponentSet::user_only())
             .with_scale(SCALE);
-        let r = run_trial(&cfg, BASE(), BASE().derive("golden", 0));
+        let r = one_trial(&cfg, BASE(), BASE().derive("golden", 0)).result;
         assert_eq!(
             r.raw_misses(Component::User),
             raw,

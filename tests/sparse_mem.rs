@@ -18,11 +18,16 @@ use tapeworm::core::{CacheConfig, TlbSimConfig};
 use tapeworm::mem::{PhysAddr, SparseVec, TrapMap, CHUNK_BYTES};
 use tapeworm::obs::CounterId;
 use tapeworm::sim::{
-    decode_trap_state, encode_trap_state, run_sweep, run_trial_observed, ComponentSet, ObsConfig,
-    SystemConfig, TrialResult,
+    decode_trap_state, encode_trap_state, run_sweep, ComponentSet, SystemConfig, TrialResult,
+    TrialRun, TrialRunner,
 };
 use tapeworm::stats::SeedSeq;
 use tapeworm::workload::Workload;
+
+/// Runs one trial on a fresh [`TrialRunner`].
+fn one_trial(cfg: &SystemConfig, base: SeedSeq, trial: SeedSeq) -> TrialRun {
+    TrialRunner::new().run(cfg, base, trial).expect("feasible")
+}
 
 const SCALE: u64 = 20_000;
 
@@ -126,7 +131,7 @@ fn sparse_backing_engages_in_every_mode() {
     let trial = base.derive("sparse", 0).derive("trial", 0);
 
     for (label, cfg) in modes() {
-        let (_, m) = run_trial_observed(&cfg, base, trial, ObsConfig::default());
+        let m = one_trial(&cfg, base, trial).metrics;
         let faults = m.counters.get(CounterId::ChunkFaults);
         let chunks = m.counters.get(CounterId::SparseChunksAllocated);
         let deduped = m.counters.get(CounterId::ZeroChunksDeduped);
@@ -137,12 +142,7 @@ fn sparse_backing_engages_in_every_mode() {
             "{label}: expected untouched chunks to share the canonical page"
         );
 
-        let (_, m) = run_trial_observed(
-            &cfg.with_sparse_mem(false),
-            base,
-            trial,
-            ObsConfig::default(),
-        );
+        let m = one_trial(&cfg.with_sparse_mem(false), base, trial).metrics;
         assert_eq!(
             m.counters.get(CounterId::ChunkFaults),
             0,
@@ -166,11 +166,13 @@ fn tw_sparse_env_knob_forces_dense_backing() {
     let cfg = SystemConfig::cache(Workload::Espresso, dm(4)).with_scale(SCALE);
 
     std::env::remove_var("TW_SPARSE");
-    let (on_result, on_metrics) = run_trial_observed(&cfg, base, trial, ObsConfig::default());
+    let run = one_trial(&cfg, base, trial);
+    let (on_result, on_metrics) = (run.result, run.metrics);
     assert!(on_metrics.counters.get(CounterId::ChunkFaults) > 0);
 
     std::env::set_var("TW_SPARSE", "0");
-    let (off_result, off_metrics) = run_trial_observed(&cfg, base, trial, ObsConfig::default());
+    let run = one_trial(&cfg, base, trial);
+    let (off_result, off_metrics) = (run.result, run.metrics);
     std::env::remove_var("TW_SPARSE");
 
     assert_eq!(off_metrics.counters.get(CounterId::ChunkFaults), 0);
@@ -178,7 +180,7 @@ fn tw_sparse_env_knob_forces_dense_backing() {
     assert_eq!(on_result, off_result, "TW_SPARSE=0 perturbed the result");
     // Any value other than "0" leaves sparse backing on.
     std::env::set_var("TW_SPARSE", "1");
-    let (_, again) = run_trial_observed(&cfg, base, trial, ObsConfig::default());
+    let again = one_trial(&cfg, base, trial).metrics;
     std::env::remove_var("TW_SPARSE");
     assert!(again.counters.get(CounterId::ChunkFaults) > 0);
 }

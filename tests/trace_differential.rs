@@ -16,7 +16,7 @@
 use tapeworm::core::{CacheConfig, Indexing};
 use tapeworm::machine::Component;
 use tapeworm::sim::compare::run_trace_driven;
-use tapeworm::sim::{run_trial, ComponentSet, SystemConfig};
+use tapeworm::sim::{ComponentSet, SystemConfig, TrialRunner};
 use tapeworm::stats::SeedSeq;
 use tapeworm::trace::TracePolicy;
 use tapeworm::workload::Workload;
@@ -54,7 +54,10 @@ fn every_traceable_workload_agrees_exactly_with_cache2000() {
                     continue;
                 }
             };
-            let tw = run_trial(&cfg, base(), base().derive("differential", kb));
+            let tw = TrialRunner::new()
+                .run(&cfg, base(), base().derive("differential", kb))
+                .expect("feasible config")
+                .result;
             assert_eq!(
                 tw.misses(Component::User) as u64,
                 tr.misses,
@@ -91,7 +94,10 @@ fn agreement_is_trial_seed_independent() {
     let cfg = config(Workload::Espresso, cache);
     let tr = run_trace_driven(&cfg, cache, TracePolicy::Fifo, base()).expect("single-task");
     for trial in 0..3u64 {
-        let tw = run_trial(&cfg, base(), base().derive("trial", trial));
+        let tw = TrialRunner::new()
+            .run(&cfg, base(), base().derive("trial", trial))
+            .expect("feasible config")
+            .result;
         assert_eq!(
             tw.misses(Component::User) as u64,
             tr.misses,
